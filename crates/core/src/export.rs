@@ -209,6 +209,19 @@ fn map_entry(map: &[u32], rank: usize) -> u64 {
     }
 }
 
+/// Crash-safe container write, the one every durable container goes
+/// through: temporary file, `sync_all`, atomic rename. A crash mid-write
+/// leaves either the previous container or a `.pilgrim.tmp` orphan —
+/// never a torn file at the final path.
+pub(crate) fn write_container_file(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::Write as _;
+    let tmp = path.with_extension("pilgrim.tmp");
+    let mut f = std::fs::File::create(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    std::fs::rename(&tmp, path)
+}
+
 /// Serializes a trace into the `PGC1` container: magic + version, then a
 /// sequence of `(kind, length, payload, CRC32)` sections. Content is
 /// identical to [`GlobalTrace::serialize`] but regrouped so each

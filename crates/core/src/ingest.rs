@@ -44,8 +44,7 @@
 //! fault rates and asserts recovery.
 
 use std::collections::HashMap;
-use std::fs::{self, File};
-use std::io::Write as _;
+use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,7 +53,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::export::write_container;
+use crate::export::{write_container, write_container_file};
 use crate::ingest_fault::IngestFaultPlan;
 use crate::recover::{recover_dir, RecoveryReport};
 use crate::trace::GlobalTrace;
@@ -992,8 +991,20 @@ fn spill_trace(
         problems.push(format!("spill {}: injected disk full", path.display()));
         return None;
     }
-    let tear = ctx.faults.spill_fails(job);
-    match spill_container(&path, &bytes, tear) {
+    let written = if ctx.faults.spill_fails(job) {
+        // Injected crash mid-spill: half the bytes land in the `.tmp`,
+        // the rename never happens, and the orphan is left for
+        // recovery's salvage path.
+        fs::write(path.with_extension("pilgrim.tmp"), &bytes[..bytes.len() / 2]).and_then(|()| {
+            Err(std::io::Error::new(
+                std::io::ErrorKind::WriteZero,
+                "injected short write mid-spill",
+            ))
+        })
+    } else {
+        write_container_file(&path, &bytes)
+    };
+    match written {
         Ok(()) => {
             ctx.disk_used.fetch_add(bytes.len() as u64, Ordering::Relaxed);
             Some(path)
@@ -1004,30 +1015,6 @@ fn spill_trace(
             None
         }
     }
-}
-
-/// Crash-safe container write: temporary file, `sync_all`, atomic
-/// rename. A crash mid-spill leaves either the previous container or a
-/// `.tmp` orphan — never a torn file at the final path. With `tear` the
-/// fault plan simulates exactly that crash: half the bytes land in the
-/// `.tmp`, the rename never happens, and the orphan is left for
-/// recovery's salvage path.
-fn spill_container(path: &Path, bytes: &[u8], tear: bool) -> std::io::Result<()> {
-    let tmp = path.with_extension("pilgrim.tmp");
-    {
-        let mut f = File::create(&tmp)?;
-        if tear {
-            f.write_all(&bytes[..bytes.len() / 2])?;
-            f.sync_all()?;
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::WriteZero,
-                "injected short write mid-spill",
-            ));
-        }
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)
 }
 
 /// A sink that drops everything (streaming disabled but a sink is

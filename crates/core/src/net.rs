@@ -15,8 +15,11 @@
 //! The traced rank is never blocked by a dead collector and never
 //! silently loses data:
 //!
-//! - Frames wait in a bounded in-memory queue; overflow goes to a local
-//!   disk outbox (FIFO order preserved) instead of blocking the rank.
+//! - Frames wait in a bounded in-memory queue. Behind a full queue they
+//!   are appended to the client's one on-disk log,
+//!   `<spill_dir>/wal/client-<id>.wal` — an ordinary `PWL1` WAL
+//!   ([`crate::wal`]) — and read back in FIFO order; a drained log is
+//!   deleted. The rank is never blocked.
 //! - A broken connection is retried with exponential backoff plus
 //!   deterministic jitter. Every (re)connect replays the client's job
 //!   opens (the server dedups) and retransmits unacked frames; the
@@ -24,11 +27,14 @@
 //!   and dedups retransmits by `(job, rank, seq)` watermark.
 //! - When the retry budget runs out — refused connects, a partition, a
 //!   collector that stays dead — the client degrades to a local spill:
-//!   everything still unacked is appended to a client-side WAL, later
-//!   frames go straight to it, and `finish` replays that WAL into a
-//!   local container. The degradation is recorded in the trace's
-//!   completeness manifest ([`DegradationStage::LocalSpill`], surfaced
-//!   by `fidelity()`), never papered over.
+//!   the log is rotated into a fresh one holding every job open, then
+//!   the unacked frames, the queued frames and the log's unread tail;
+//!   later frames append to it, and `finish` rebuilds the job from it
+//!   with crash recovery's own replay ([`crate::recover`]) into a local
+//!   container. A client spill dir is therefore an ordinary recoverable
+//!   directory. The degradation is recorded in the trace's completeness
+//!   manifest ([`DegradationStage::LocalSpill`], surfaced by
+//!   `fidelity()`), never papered over.
 //!
 //! The server survives being killed outright: its per-connection WALs
 //! under `<spill_dir>/wal/` are written before each ack, so
@@ -38,8 +44,8 @@
 //! this lives in [`crate::net_fault`].
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::fs::{self, File, OpenOptions};
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+use std::fs;
+use std::io::{Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -54,12 +60,16 @@ use crate::auth::{
     MAC_LEN, NONCE_LEN,
 };
 use crate::error::DecodeError;
-use crate::export::write_container;
+use crate::export::{write_container, write_container_file};
 use crate::governor::{Component, DegradationEvent, DegradationStage};
 use crate::ingest::{IngestSession, JobHandle, RetryPolicy, SegmentSink};
-use crate::merge::{IncrementalMerger, RankCompletion, TraceSegment};
+use crate::merge::{RankCompletion, TraceSegment};
 use crate::net_fault::NetFaultPlan;
-use crate::wal::{encode_frame, read_wal, split_frame, WalRecord, WalWriter};
+use crate::recover::replay_job;
+use crate::wal::{
+    encode_frame, put_complete, put_open, put_segment, read_array, read_u64, read_wal, split_frame,
+    WalRecord, WalWriter, WAL_MAGIC,
+};
 
 /// Leading magic both peers send before their hello frame.
 pub const NET_MAGIC: &[u8; 4] = b"PNT1";
@@ -191,22 +201,10 @@ impl NetFrame {
             }
             NetFrame::HelloAck { version } => write_varint(out, *version as u64),
             NetFrame::JobOpen { job, nranks, identity_check } => {
-                write_varint(out, *job);
-                write_varint(out, *nranks as u64);
-                out.push(u8::from(*identity_check));
+                put_open(out, *job, *nranks, *identity_check)
             }
-            NetFrame::Segment { job, seg } => {
-                write_varint(out, *job);
-                write_varint(out, seg.rank as u64);
-                write_varint(out, seg.seq as u64);
-                out.push(u8::from(seg.sealed));
-                write_varint(out, seg.bytes.len() as u64);
-                out.extend_from_slice(&seg.bytes);
-            }
-            NetFrame::Complete { job, done } => {
-                write_varint(out, *job);
-                done.serialize(out);
-            }
+            NetFrame::Segment { job, seg } => put_segment(out, *job, seg),
+            NetFrame::Complete { job, done } => put_complete(out, *job, done),
             NetFrame::Finished { job } => write_varint(out, *job),
             NetFrame::Heartbeat => {}
             NetFrame::Ack { job, a, b, of } => {
@@ -234,85 +232,37 @@ impl NetFrame {
         let pos = &mut 0usize;
         let frame = match kind {
             KIND_HELLO => {
-                let version = rd(buf, pos, "net hello version")? as u32;
-                let client_id = rd(buf, pos, "net hello client")?;
+                let version = read_u64(buf, pos, "net hello version")? as u32;
+                let client_id = read_u64(buf, pos, "net hello client")?;
                 NetFrame::Hello { version, client_id }
             }
             KIND_HELLO_ACK => {
-                NetFrame::HelloAck { version: rd(buf, pos, "net hello-ack version")? as u32 }
+                NetFrame::HelloAck { version: read_u64(buf, pos, "net hello-ack version")? as u32 }
             }
-            KIND_JOB_OPEN => {
-                let job = rd(buf, pos, "net open job")?;
-                let nranks = rd(buf, pos, "net open nranks")? as usize;
-                let off = *pos;
-                let flag = *buf
-                    .get(*pos)
-                    .ok_or(DecodeError::Truncated { what: "net open flag", offset: off })?;
-                *pos += 1;
-                NetFrame::JobOpen { job, nranks, identity_check: flag != 0 }
+            KIND_JOB_OPEN..=KIND_FINISHED => {
+                // Wire kinds 3–6 carry WAL record kinds 1–4, payload for
+                // payload.
+                let rec = WalRecord::decode_payload(kind - KIND_JOB_OPEN + 1, buf)?;
+                return NetFrame::from_record(rec)
+                    .ok_or(DecodeError::Corrupt { what: "net frame kind", offset: 0 });
             }
-            KIND_SEGMENT => {
-                let job = rd(buf, pos, "net segment job")?;
-                let rank = rd(buf, pos, "net segment rank")? as usize;
-                let seq = rd(buf, pos, "net segment seq")? as u32;
-                let off = *pos;
-                let sealed = *buf
-                    .get(*pos)
-                    .ok_or(DecodeError::Truncated { what: "net segment flag", offset: off })?
-                    != 0;
-                *pos += 1;
-                let len_off = *pos;
-                let len = rd(buf, pos, "net segment len")? as usize;
-                let bytes = buf
-                    .get(*pos..*pos + len)
-                    .ok_or(DecodeError::Truncated { what: "net segment bytes", offset: len_off })?
-                    .to_vec();
-                *pos += len;
-                NetFrame::Segment { job, seg: TraceSegment { rank, seq, sealed, bytes } }
-            }
-            KIND_COMPLETE => {
-                let job = rd(buf, pos, "net complete job")?;
-                let done = RankCompletion::decode(buf, pos)?;
-                NetFrame::Complete { job, done }
-            }
-            KIND_FINISHED => NetFrame::Finished { job: rd(buf, pos, "net finished job")? },
             KIND_HEARTBEAT => NetFrame::Heartbeat,
             KIND_ACK => {
-                let job = rd(buf, pos, "net ack job")?;
-                let a = rd(buf, pos, "net ack a")?;
-                let b = rd(buf, pos, "net ack b")?;
-                let off = *pos;
-                let of = *buf
-                    .get(*pos)
-                    .ok_or(DecodeError::Truncated { what: "net ack of", offset: off })?;
-                *pos += 1;
+                let job = read_u64(buf, pos, "net ack job")?;
+                let a = read_u64(buf, pos, "net ack a")?;
+                let b = read_u64(buf, pos, "net ack b")?;
+                let [of] = read_array(buf, pos, "net ack of")?;
                 NetFrame::Ack { job, a, b, of }
             }
             KIND_CHALLENGE => {
-                let bytes = buf
-                    .get(*pos..*pos + NONCE_LEN)
-                    .ok_or(DecodeError::Truncated { what: "net challenge nonce", offset: *pos })?;
-                let mut nonce = [0u8; NONCE_LEN];
-                nonce.copy_from_slice(bytes);
-                *pos += NONCE_LEN;
-                NetFrame::Challenge { nonce }
+                NetFrame::Challenge { nonce: read_array(buf, pos, "net challenge nonce")? }
             }
             KIND_AUTH_RESPONSE => {
-                let bytes = buf
-                    .get(*pos..*pos + 32)
-                    .ok_or(DecodeError::Truncated { what: "net auth response", offset: *pos })?;
-                let mut mac = [0u8; 32];
-                mac.copy_from_slice(bytes);
-                *pos += 32;
-                NetFrame::AuthResponse { mac }
+                NetFrame::AuthResponse { mac: read_array(buf, pos, "net auth response")? }
             }
-            KIND_BUSY => NetFrame::Busy { job: rd(buf, pos, "net busy job")? },
+            KIND_BUSY => NetFrame::Busy { job: read_u64(buf, pos, "net busy job")? },
             KIND_REJECT => {
-                let off = *pos;
-                let code = *buf
-                    .get(*pos)
-                    .ok_or(DecodeError::Truncated { what: "net reject code", offset: off })?;
-                *pos += 1;
+                let [code] = read_array(buf, pos, "net reject code")?;
                 NetFrame::Reject { code }
             }
             _ => return Err(DecodeError::Corrupt { what: "net frame kind", offset: 0 }),
@@ -350,7 +300,7 @@ impl NetFrame {
         }
     }
 
-    /// The WAL record this frame carries, for logging and local spill.
+    /// The WAL record this frame carries, for the client log.
     fn as_wal_record(&self) -> Option<WalRecord> {
         match self {
             NetFrame::JobOpen { job, nranks, identity_check } => Some(WalRecord::JobOpen {
@@ -368,11 +318,22 @@ impl NetFrame {
             _ => None,
         }
     }
-}
 
-fn rd(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, DecodeError> {
-    let off = *pos;
-    read_varint(buf, pos).ok_or(DecodeError::Truncated { what, offset: off })
+    /// The frame carrying a WAL record: the inverse of
+    /// [`NetFrame::as_wal_record`], for records read back from the
+    /// client log or decoded off the wire. `None` for a quarantine,
+    /// which has no frame.
+    fn from_record(rec: WalRecord) -> Option<NetFrame> {
+        Some(match rec {
+            WalRecord::JobOpen { job, nranks, identity_check } => {
+                NetFrame::JobOpen { job, nranks, identity_check }
+            }
+            WalRecord::Segment { job, seg } => NetFrame::Segment { job, seg },
+            WalRecord::Complete { job, done } => NetFrame::Complete { job, done },
+            WalRecord::Finished { job } => NetFrame::Finished { job },
+            WalRecord::Quarantine { .. } => return None,
+        })
+    }
 }
 
 /// Incremental frame reassembly over a byte stream: bytes go in as they
@@ -1497,7 +1458,7 @@ pub struct NetClientConfig {
     /// Stable client identity; job ids are derived from it
     /// ([`crate::net_fault::stable_job_id`]).
     pub client_id: u64,
-    /// In-memory frames queued before overflowing to the disk outbox.
+    /// In-memory frames queued before overflowing to the client log.
     pub queue_capacity: usize,
     /// Reconnect budget: `max_attempts` *consecutive* connection
     /// failures degrade the client to local spill; `backoff` seeds the
@@ -1510,9 +1471,10 @@ pub struct NetClientConfig {
     /// How long [`NetJobHandle::finish`] waits for the server's finish
     /// ack before degrading to local spill.
     pub finish_timeout: Duration,
-    /// Where the outbox, the degrade WAL, and local containers live.
-    /// Without it the client blocks on a full queue and *drops* on
-    /// degrade (counted and reported, never silent).
+    /// Where the client log (`wal/client-<id>.wal`: queue overflow
+    /// while connected, the local spill once degraded) and local
+    /// containers live. Without it the client blocks on a full queue and
+    /// *drops* on degrade (counted and reported, never silent).
     pub spill_dir: Option<PathBuf>,
     /// Seeded wire faults (inert by default).
     pub faults: NetFaultPlan,
@@ -1616,9 +1578,10 @@ pub struct NetClientStats {
     pub heartbeats: u64,
     /// Producer pushes that blocked on a full queue (no spill dir).
     pub backpressure: u64,
-    /// Frames that overflowed to the disk outbox.
+    /// Records appended to the client log while connected (queue
+    /// overflow).
     pub disk_buffered: u64,
-    /// Records appended to the local degrade WAL.
+    /// Records appended to the client log after degrade (local spill).
     pub spilled_records: u64,
     /// Records lost outright (degrade with no spill dir, or spill I/O
     /// failure) — always reported in the job outcome, never silent.
@@ -1638,65 +1601,18 @@ struct Unacked {
     attempts: u32,
 }
 
-/// Disk overflow for the send queue: `[len: u32 LE][frame bytes]`
-/// repeated. A transit buffer, not a durability layer — no fsync; the
-/// degrade WAL is the durable one.
-struct Outbox {
-    file: File,
-    path: PathBuf,
-    read_pos: u64,
-    write_pos: u64,
-    pending: u64,
-}
-
-impl Outbox {
-    fn create(path: PathBuf) -> std::io::Result<Outbox> {
-        let file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(&path)?;
-        Ok(Outbox { file, path, read_pos: 0, write_pos: 0, pending: 0 })
-    }
-
-    fn push(&mut self, frame: &NetFrame) -> std::io::Result<()> {
-        let bytes = frame.encode();
-        self.file.seek(SeekFrom::Start(self.write_pos))?;
-        self.file.write_all(&(bytes.len() as u32).to_le_bytes())?;
-        self.file.write_all(&bytes)?;
-        self.write_pos += 4 + bytes.len() as u64;
-        self.pending += 1;
-        Ok(())
-    }
-
-    fn pop(&mut self) -> std::io::Result<Option<NetFrame>> {
-        if self.pending == 0 {
-            return Ok(None);
-        }
-        self.file.seek(SeekFrom::Start(self.read_pos))?;
-        let mut len4 = [0u8; 4];
-        self.file.read_exact(&mut len4)?;
-        let len = u32::from_le_bytes(len4) as usize;
-        let mut bytes = vec![0u8; len];
-        self.file.read_exact(&mut bytes)?;
-        self.read_pos += 4 + len as u64;
-        self.pending -= 1;
-        if self.pending == 0 {
-            self.file.set_len(0)?;
-            self.read_pos = 0;
-            self.write_pos = 0;
-        }
-        let mut pos = 0usize;
-        match split_frame(&bytes, &mut pos) {
-            Some(Ok((kind, payload))) => NetFrame::decode(kind, payload)
-                .map(Some)
-                .map_err(|e| std::io::Error::other(format!("outbox frame: {e}"))),
-            Some(Err(e)) => Err(std::io::Error::other(format!("outbox frame: {e}"))),
-            None => Err(std::io::Error::other("outbox frame truncated")),
-        }
-    }
-}
-
+#[derive(Default)]
 struct ClientState {
     queue: VecDeque<NetFrame>,
-    outbox: Option<Outbox>,
+    /// The client's one on-disk log, `<spill_dir>/wal/client-<id>.wal`:
+    /// the overflow backlog behind a full queue while connected, the
+    /// local spill once degraded. `None` when neither is in use (or the
+    /// log could not be created).
+    log: Option<WalWriter>,
+    /// Byte offset of the next overflow record not yet read back.
+    log_read: u64,
+    /// Overflow records appended but not yet read back.
+    log_pending: u64,
     unacked: VecDeque<Unacked>,
     /// (job, nranks, identity_check) — replayed on every (re)connect.
     opens: Vec<(u64, usize, bool)>,
@@ -1711,21 +1627,14 @@ struct ClientState {
     auth_fatal: Option<String>,
     degraded: bool,
     shutdown: bool,
-    /// Degrade WAL, opened at degrade time.
-    spill: Option<WalWriter>,
-    spill_path: Option<PathBuf>,
     /// Client-wide problems (spill failures, drops), echoed into every
     /// job outcome so loss is never silent.
     problems: Vec<String>,
 }
 
 impl ClientState {
-    fn outbox_pending(&self) -> u64 {
-        self.outbox.as_ref().map_or(0, |o| o.pending)
-    }
-
     fn has_pending(&self) -> bool {
-        !self.queue.is_empty() || self.outbox_pending() > 0 || !self.unacked.is_empty()
+        !self.queue.is_empty() || self.log_pending > 0 || !self.unacked.is_empty()
     }
 }
 
@@ -1774,25 +1683,11 @@ impl NetClient {
     /// worker's (retried) job.
     pub fn start(cfg: NetClientConfig) -> std::io::Result<NetClient> {
         if let Some(dir) = &cfg.spill_dir {
-            fs::create_dir_all(dir)?;
+            fs::create_dir_all(dir.join("wal"))?;
         }
         let inner = Arc::new(ClientInner {
             cfg,
-            state: Mutex::new(ClientState {
-                queue: VecDeque::new(),
-                outbox: None,
-                unacked: VecDeque::new(),
-                opens: Vec::new(),
-                acked_finished: HashMap::new(),
-                partitioned: false,
-                busy_hit: false,
-                auth_fatal: None,
-                degraded: false,
-                shutdown: false,
-                spill: None,
-                spill_path: None,
-                problems: Vec::new(),
-            }),
+            state: Mutex::new(ClientState::default()),
             cv: Condvar::new(),
             counters: ClientCounters::default(),
         });
@@ -1868,96 +1763,110 @@ impl ClientInner {
     }
 
     /// Queues a frame without ever blocking the producer when a spill
-    /// dir is configured: full queue -> disk outbox; degraded -> straight
-    /// to the local WAL. Without a spill dir a full queue blocks (after
+    /// dir is configured: full queue -> client log; degraded -> straight
+    /// to the local spill. Without a spill dir a full queue blocks (after
     /// counting backpressure) — bounded memory is the harder promise.
     fn enqueue(&self, frame: NetFrame) {
         let mut st = lock(&self.state);
         loop {
             if st.degraded {
                 self.spill_frame(&mut st, frame);
-                self.cv.notify_all();
-                return;
+                break;
             }
-            if st.outbox.is_some() {
-                self.outbox_push(&mut st, frame);
-                self.cv.notify_all();
-                return;
+            let full = st.queue.len() >= self.cfg.queue_capacity;
+            if st.log.is_some() || (full && self.cfg.spill_dir.is_some()) {
+                self.overflow(&mut st, frame);
+                break;
             }
-            if st.queue.len() < self.cfg.queue_capacity {
+            if !full {
                 st.queue.push_back(frame);
-                self.cv.notify_all();
-                return;
-            }
-            if self.cfg.spill_dir.is_some() {
-                self.activate_outbox(&mut st);
-                continue;
+                break;
             }
             self.counters.backpressure.fetch_add(1, Ordering::Relaxed);
             st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
         }
+        self.cv.notify_all();
     }
 
-    fn activate_outbox(&self, st: &mut ClientState) {
-        let Some(dir) = &self.cfg.spill_dir else { return };
-        let path = dir.join(format!("outbox-{}.buf", self.cfg.client_id));
-        match Outbox::create(path) {
-            Ok(outbox) => st.outbox = Some(outbox),
-            Err(e) => {
-                // Can't overflow to disk: grow the queue rather than
-                // block or drop, and say so.
-                st.problems.push(format!("outbox unavailable: {e}"));
-                st.queue.reserve(1);
-            }
-        }
+    /// `<spill_dir>/wal/client-<id>.wal`, when there is a spill dir.
+    fn log_path(&self) -> Option<PathBuf> {
+        let dir = self.cfg.spill_dir.as_ref()?;
+        Some(dir.join("wal").join(format!("client-{}.wal", self.cfg.client_id)))
     }
 
-    fn outbox_push(&self, st: &mut ClientState, frame: NetFrame) {
-        let pushed = match st.outbox.as_mut() {
-            Some(o) => o.push(&frame),
-            None => Ok(()),
-        };
-        match pushed {
-            Ok(()) => {
-                self.counters.disk_buffered.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(e) => {
-                st.problems.push(format!("outbox write failed: {e}"));
-                st.queue.push_back(frame);
+    /// Appends a frame to the client log, opening the log on first use.
+    /// Frames keep going there until the worker drains it, so order
+    /// holds. If the log cannot take the frame, the queue grows instead
+    /// (and says so) rather than block or drop.
+    fn overflow(&self, st: &mut ClientState, frame: NetFrame) {
+        if st.log.is_none() {
+            match self.log_path().map(WalWriter::create).transpose() {
+                Ok(log) => {
+                    st.log = log;
+                    st.log_read = WAL_MAGIC.len() as u64;
+                }
+                Err(e) => st.problems.push(format!("client log unavailable: {e}")),
             }
         }
+        if let (Some(w), Some(rec)) = (st.log.as_mut(), frame.as_wal_record()) {
+            match w.append(&rec) {
+                Ok(_) => {
+                    st.log_pending += 1;
+                    self.counters.disk_buffered.fetch_add(1, Ordering::Relaxed);
+                    return;
+                }
+                Err(e) => st.problems.push(format!("client log append failed: {e}")),
+            }
+        }
+        st.queue.push_back(frame);
     }
 
     /// Pops the next frame to transmit: memory queue first, then the
-    /// disk outbox (global FIFO: the outbox only fills while the queue
-    /// is saturated, and is drained before the queue refills).
+    /// client log's backlog (global FIFO: the log only fills while the
+    /// queue is saturated, and is drained before the queue refills). The
+    /// log is deleted as soon as it is drained.
     fn pop_next(&self, st: &mut ClientState) -> Option<NetFrame> {
         if let Some(frame) = st.queue.pop_front() {
             self.cv.notify_all();
             return Some(frame);
         }
-        let drained = match st.outbox.as_mut() {
-            Some(o) => match o.pop() {
-                Ok(Some(frame)) => return Some(frame),
-                Ok(None) => true,
-                Err(e) => {
-                    self.counters.dropped_records.fetch_add(1, Ordering::Relaxed);
-                    st.problems.push(format!("outbox read failed: {e}"));
-                    true
-                }
-            },
-            None => false,
-        };
-        if drained {
-            if let Some(o) = st.outbox.take() {
-                let _ = fs::remove_file(&o.path);
-            }
+        let mut log = st.log.take()?;
+        let next = self.read_backlog(st, &mut log);
+        if st.log_pending > 0 {
+            st.log = Some(log);
+        } else {
+            let _ = fs::remove_file(log.path());
         }
-        None
+        next
     }
 
-    /// Irreversibly degrades to local spill: open the client WAL, flush
-    /// everything pending into it, route all later frames there.
+    /// Reads the next overflow record of `log` back as its frame. A read
+    /// failure counts every pending record as dropped and ends the
+    /// backlog.
+    fn read_backlog(&self, st: &mut ClientState, log: &mut WalWriter) -> Option<NetFrame> {
+        if st.log_pending == 0 {
+            return None;
+        }
+        match log.read_at(st.log_read) {
+            Ok((rec, at)) => {
+                st.log_read = at;
+                st.log_pending -= 1;
+                NetFrame::from_record(rec)
+            }
+            Err(e) => {
+                let lost = std::mem::take(&mut st.log_pending);
+                self.counters.dropped_records.fetch_add(lost, Ordering::Relaxed);
+                st.problems.push(format!("client log read failed: {e}"));
+                None
+            }
+        }
+    }
+
+    /// Irreversibly degrades to local spill by rotating the client log:
+    /// a fresh log takes every job open, then the unacked frames, the
+    /// queued frames and the old log's unread tail — each through
+    /// [`ClientInner::spill_frame`] — and is renamed over the old one.
+    /// All later frames append to it.
     fn degrade(&self, st: &mut ClientState, reason: &str) {
         if st.degraded {
             return;
@@ -1965,21 +1874,15 @@ impl ClientInner {
         st.degraded = true;
         self.counters.degraded.store(1, Ordering::Relaxed);
         st.problems.push(format!("degraded to local spill: {reason}"));
-        if let Some(dir) = &self.cfg.spill_dir {
-            let wal_dir = dir.join("wal");
-            let created = fs::create_dir_all(&wal_dir);
-            let path = wal_dir.join(format!("client-{}.wal", self.cfg.client_id));
-            match created.and_then(|()| WalWriter::create(&path)) {
-                Ok(w) => {
-                    st.spill = Some(w);
-                    st.spill_path = Some(path);
-                }
-                Err(e) => {
-                    st.problems.push(format!("local spill WAL unavailable: {e}"));
-                }
+        let backlog = st.log.take();
+        let path = self.log_path();
+        if let Some(path) = &path {
+            match WalWriter::create(path.with_extension("wal.tmp")) {
+                Ok(w) => st.log = Some(w),
+                Err(e) => st.problems.push(format!("local spill WAL unavailable: {e}")),
             }
         }
-        // Every open first, so any replay of the WAL knows each job's
+        // Every open first, so any replay of the log knows each job's
         // shape before its records.
         let opens = st.opens.clone();
         for (job, nranks, identity_check) in opens {
@@ -1993,18 +1896,25 @@ impl ClientInner {
         for frame in queued {
             self.spill_frame(st, frame);
         }
-        loop {
-            let next = match st.outbox.as_mut() {
-                Some(o) => o.pop().unwrap_or(None),
-                None => None,
-            };
-            match next {
-                Some(frame) => self.spill_frame(st, frame),
-                None => break,
+        if let Some(mut backlog) = backlog {
+            while st.log_pending > 0 {
+                if let Some(frame) = self.read_backlog(st, &mut backlog) {
+                    self.spill_frame(st, frame);
+                }
             }
         }
-        if let Some(o) = st.outbox.take() {
-            let _ = fs::remove_file(&o.path);
+        match (path, st.log.as_mut()) {
+            (Some(path), Some(w)) => {
+                if let Err(e) = w.rename(path) {
+                    st.problems.push(format!("local spill WAL rotation failed: {e}"));
+                    st.log = None;
+                }
+            }
+            // No fresh log: the stale backlog must not outlive it.
+            (Some(path), None) => {
+                let _ = fs::remove_file(path);
+            }
+            (None, _) => {}
         }
         self.cv.notify_all();
     }
@@ -2034,25 +1944,16 @@ impl ClientInner {
     }
 
     fn spill_record(&self, st: &mut ClientState, rec: WalRecord) {
-        let appended = match st.spill.as_mut() {
-            Some(w) => w.append(&rec).map(|_| true),
-            None => Ok(false),
-        };
-        match appended {
-            Ok(true) => {
+        match st.log.as_mut().map(|w| w.append(&rec)) {
+            Some(Ok(_)) => {
                 self.counters.spilled_records.fetch_add(1, Ordering::Relaxed);
             }
-            Ok(false) => {
+            None => {
                 self.counters.dropped_records.fetch_add(1, Ordering::Relaxed);
             }
-            Err(e) => {
+            Some(Err(e)) => {
                 self.counters.dropped_records.fetch_add(1, Ordering::Relaxed);
                 st.problems.push(format!("local spill append failed: {e}"));
-                if let Some(w) = st.spill.as_mut() {
-                    if w.truncate_to_clean().is_err() {
-                        st.spill = None;
-                    }
-                }
             }
         }
     }
@@ -2109,120 +2010,44 @@ impl NetJobHandle {
         self.local_finalize(&mut st)
     }
 
-    /// Rebuilds the job from the client's local spill WAL and writes a
-    /// container next to it.
+    /// Rebuilds the job from the client log and reports what happened.
     fn local_finalize(&self, st: &mut ClientState) -> NetJobOutcome {
         let mut problems = st.problems.clone();
-        let fail = |problems: Vec<String>| NetJobOutcome {
-            job: self.job,
-            delivered: false,
-            lossless: None,
-            local_path: None,
-            problems,
-        };
-        let Some(wal_path) = st.spill_path.clone() else {
+        let local_path = self.rebuild_locally(st, &mut problems);
+        NetJobOutcome { job: self.job, delivered: false, lossless: None, local_path, problems }
+    }
+
+    /// Replays the job's records from the client log with crash
+    /// recovery's own replay and writes `<spill_dir>/job-<id>.pilgrim`.
+    fn rebuild_locally(&self, st: &mut ClientState, problems: &mut Vec<String>) -> Option<PathBuf> {
+        let (Some(dir), Some(log)) = (&self.inner.cfg.spill_dir, &st.log) else {
             problems.push("no local spill WAL; the degraded stream is lost".into());
-            return fail(problems);
-        };
-        let replay = match read_wal(&wal_path) {
-            Ok(Ok(replay)) => replay,
-            Ok(Err(e)) => {
-                problems.push(format!("local spill WAL unreadable: {e}"));
-                return fail(problems);
-            }
-            Err(e) => {
-                problems.push(format!("local spill WAL unreadable: {e}"));
-                return fail(problems);
-            }
-        };
-        // Dedup and order exactly like crash recovery: the WAL may hold
-        // a frame twice (spilled after its first transmission was acked
-        // but the ack lost) and segments from many ranks interleaved.
-        let mut segs: std::collections::BTreeMap<(usize, u32), TraceSegment> =
-            std::collections::BTreeMap::new();
-        let mut completes: std::collections::BTreeMap<usize, RankCompletion> =
-            std::collections::BTreeMap::new();
-        for rec in replay.records {
-            if rec.job() != self.job {
-                continue;
-            }
-            match rec {
-                WalRecord::Segment { seg, .. } => {
-                    segs.entry((seg.rank, seg.seq)).or_insert(seg);
-                }
-                WalRecord::Complete { done, .. } => {
-                    completes.entry(done.rank).or_insert(done);
-                }
-                _ => {}
-            }
-        }
-        if segs.is_empty() && completes.is_empty() {
-            problems.push(
-                "nothing buffered locally; the collector may still hold the delivered stream"
-                    .into(),
-            );
-            return fail(problems);
-        }
-        let mut merger = IncrementalMerger::new(self.nranks).identity_check(self.identity_check);
-        for seg in segs.values() {
-            if let Err(e) = merger.accept_segment(seg) {
-                problems.push(format!("local replay segment {}/{}: {e}", seg.rank, seg.seq));
-            }
-        }
-        for (rank, done) in completes {
-            if let Err(e) = merger.complete_rank(done) {
-                problems.push(format!("local replay complete {rank}: {e}"));
-            }
-        }
-        // A rank whose segments all spilled but whose completion never
-        // did (degrade hit between the two) still has a usable prefix.
-        for (rank, calls) in merger.salvage_open_ranks() {
-            problems.push(format!("rank {rank}: salvaged {calls} calls from its spilled prefix"));
-        }
-        let trace = merger.finalize();
-        let calls: u64 = trace.rank_lengths.iter().sum();
-        if calls == 0 {
-            problems.push("local replay rebuilt no calls".into());
-            return fail(problems);
-        }
-        let Some(dir) = self.inner.cfg.spill_dir.clone() else {
-            return fail(problems);
+            return None;
         };
         let out_path = dir.join(format!("job-{}.pilgrim", self.job));
-        match write_local_container(&out_path, &write_container(&trace)) {
-            Ok(()) => {
-                // Settle the job in the WAL so recovery on the client
-                // dir trusts the container over a re-replay.
-                let settled =
-                    trace.completeness.is_complete() && problems.len() == st.problems.len();
-                if settled {
-                    self.inner.spill_record(st, WalRecord::Finished { job: self.job });
-                }
-                NetJobOutcome {
-                    job: self.job,
-                    delivered: false,
-                    lossless: None,
-                    local_path: Some(out_path),
-                    problems,
-                }
-            }
-            Err(e) => {
-                problems.push(format!("writing local container: {e}"));
-                fail(problems)
-            }
+        let replay = read_wal(log.path())
+            .map_err(|e| problems.push(format!("local spill WAL unreadable: {e}")))
+            .ok()?;
+        let before = problems.len();
+        let records = replay.records.into_iter().filter(|r| r.job() == self.job);
+        let (trace, _) = replay_job(self.nranks, self.identity_check, records, problems);
+        if trace.rank_lengths.iter().sum::<u64>() == 0 {
+            problems.push(
+                "nothing rebuilt locally; the collector may still hold the delivered stream".into(),
+            );
+            return None;
         }
+        if let Err(e) = write_container_file(&out_path, &write_container(&trace)) {
+            problems.push(format!("writing local container: {e}"));
+            return None;
+        }
+        // Settle the job in the log so recovery on the client dir trusts
+        // the container over a re-replay.
+        if trace.completeness.is_complete() && problems.len() == before {
+            self.inner.spill_record(st, WalRecord::Finished { job: self.job });
+        }
+        Some(out_path)
     }
-}
-
-/// Crash-safe local container write: tmp, sync, rename.
-fn write_local_container(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("pilgrim.tmp");
-    {
-        let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)
 }
 
 impl SegmentSink for NetJobHandle {
@@ -2749,6 +2574,10 @@ mod tests {
             NetFrame::Finished { job: 9 },
             NetFrame::Heartbeat,
             NetFrame::Ack { job: 9, a: 2, b: 5, of: KIND_SEGMENT },
+            NetFrame::Challenge { nonce: [0xab; NONCE_LEN] },
+            NetFrame::AuthResponse { mac: [0xcd; 32] },
+            NetFrame::Busy { job: 300 },
+            NetFrame::Reject { code: REJECT_BAD_MAC },
         ]
     }
 
@@ -2789,36 +2618,123 @@ mod tests {
         assert!(!fin.settled_by(7, 1, 0, KIND_FINISHED));
     }
 
+    /// `PNT1` is a wire format: every frame kind's bytes are pinned, so
+    /// a codec refactor cannot change them unnoticed.
     #[test]
-    fn outbox_preserves_fifo_across_overflow() {
-        let dir = std::env::temp_dir().join(format!("pilgrim-outbox-{}", std::process::id()));
+    fn wire_bytes_are_pinned() {
+        let pinned = [
+            "01020107f5c8031d",
+            "020101ab0cd992",
+            "03030904013eec8d8f",
+            "04080902050103010203f42e8c0c",
+            "050709022806050000d2451aac",
+            "060109452c0b9b",
+            "07003884980e",
+            "080409020504b62e87ac",
+            "0920abababababababababababababababababababababababababababababababab6d2df732",
+            "0a20cdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcd8bed1836",
+            "0b02ac02ba1e7d19",
+            "0c01038d404976",
+        ];
+        let hex = |f: &NetFrame| f.encode().iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let got: Vec<String> = sample_frames().iter().map(hex).collect();
+        assert_eq!(got, pinned);
+    }
+
+    /// A client with no worker, so a test can drive its queue, log and
+    /// degrade path by hand.
+    fn offline_client(tag: &str, queue_capacity: usize) -> (ClientInner, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("pilgrim-client-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).expect("mkdir");
-        let mut o = Outbox::create(dir.join("outbox.buf")).expect("create");
-        let frames: Vec<NetFrame> = (0..40)
-            .map(|i| NetFrame::Segment {
-                job: 1,
-                seg: TraceSegment {
-                    rank: 0,
-                    seq: i,
-                    sealed: false,
-                    bytes: vec![i as u8; (i as usize % 7) + 1],
-                },
-            })
-            .collect();
-        // Interleave pushes and pops; order must hold throughout.
-        for chunk in frames.chunks(8) {
-            for f in chunk {
-                o.push(f).expect("push");
-            }
+        fs::create_dir_all(dir.join("wal")).expect("client wal dir");
+        let cfg = NetClientConfig::new("127.0.0.1:9")
+            .client_id(5)
+            .queue_capacity(queue_capacity)
+            .spill_dir(&dir);
+        let inner = ClientInner {
+            cfg,
+            state: Mutex::new(ClientState::default()),
+            cv: Condvar::new(),
+            counters: ClientCounters::default(),
+        };
+        (inner, dir)
+    }
+
+    fn segment_frame(seq: u32) -> NetFrame {
+        let bytes = vec![seq as u8; (seq as usize % 7) + 1];
+        NetFrame::Segment { job: 1, seg: TraceSegment { rank: 0, seq, sealed: false, bytes } }
+    }
+
+    #[test]
+    fn client_log_keeps_fifo_across_overflow_and_drain() {
+        let (inner, dir) = offline_client("fifo", 4);
+        let log = dir.join("wal").join("client-5.wal");
+        let frames: Vec<NetFrame> = (0..40).map(segment_frame).collect();
+        let mut sent = Vec::new();
+        // Bursts of 8 against a queue of 4 overflow to the log; even
+        // bursts then drain three frames, odd ones drain it dry.
+        for (i, burst) in frames.chunks(8).enumerate() {
+            burst.iter().for_each(|f| inner.enqueue(f.clone()));
+            assert!(log.exists(), "burst {i} must overflow to the client log");
+            let mut st = lock(&inner.state);
+            let budget = if i % 2 == 0 { 3 } else { usize::MAX };
+            sent.extend(std::iter::from_fn(|| inner.pop_next(&mut st)).take(budget));
+            assert_eq!(log.exists(), i % 2 == 0, "burst {i}: only a drained log is deleted");
         }
-        for f in &frames {
-            let back = o.pop().expect("pop").expect("frame");
-            assert_eq!(&back, f);
+        let mut st = lock(&inner.state);
+        sent.extend(std::iter::from_fn(|| inner.pop_next(&mut st)));
+        assert_eq!(sent, frames);
+        assert!(!log.exists() && st.problems.is_empty(), "{:?}", st.problems);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn degrade_after_partial_drain_spills_opens_and_unacked_frames_once() {
+        let (inner, dir) = offline_client("degrade", 2);
+        let open = NetFrame::JobOpen { job: 1, nranks: 1, identity_check: false };
+        lock(&inner.state).opens.push((1, 1, false));
+        inner.enqueue(open.clone());
+        for seq in 0..6 {
+            inner.enqueue(segment_frame(seq));
         }
-        assert!(o.pop().expect("pop").is_none());
-        // Fully drained: the file was reset for reuse.
-        assert_eq!(o.write_pos, 0);
+        inner.enqueue(NetFrame::Complete { job: 1, done: completion(0, 6, 6) });
+        // Queue: open, seg 0. Log: segs 1-5 and the completion. The
+        // worker sends four frames, two of them read back from the log,
+        // and the first two are acked.
+        for _ in 0..4 {
+            let mut st = lock(&inner.state);
+            let frame = inner.pop_next(&mut st).expect("a frame to send");
+            st.unacked.push_back(Unacked { frame, attempts: 0 });
+        }
+        apply_ack(&inner, 1, 0, 0, KIND_JOB_OPEN);
+        apply_ack(&inner, 1, 0, 0, KIND_SEGMENT);
+        inner.degrade(&mut lock(&inner.state), "test");
+        inner.enqueue(segment_frame(6));
+
+        let wal_dir = dir.join("wal");
+        let names: Vec<_> = fs::read_dir(&wal_dir).expect("wal dir").flatten().collect();
+        assert_eq!(names.len(), 1, "one log, no rotation leftovers: {names:?}");
+        let replay = read_wal(&wal_dir.join("client-5.wal")).expect("read the client log");
+        assert!(replay.torn.is_none(), "{:?}", replay.torn);
+        let mut spilled = completion(0, 6, 6);
+        spilled.events.push(DegradationEvent {
+            call_index: 6,
+            stage: DegradationStage::LocalSpill,
+            component: Component::Network,
+            bytes: 0,
+        });
+        // The open, the unacked segs 1-2, the unread tail, then the
+        // frame enqueued after degrade; the acked seg 0 is gone.
+        let mut want = vec![open];
+        want.extend((1..6).map(segment_frame));
+        want.push(NetFrame::Complete { job: 1, done: spilled });
+        want.push(segment_frame(6));
+        let got: Option<Vec<NetFrame>> =
+            replay.records.into_iter().map(NetFrame::from_record).collect();
+        assert_eq!(got, Some(want));
+        let stats = inner.snapshot();
+        assert_eq!((stats.disk_buffered, stats.spilled_records), (6, 8), "{stats:?}");
+        assert_eq!(stats.dropped_records, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -25,12 +25,13 @@
 //! partial traces are rewritten as containers under
 //! `<dir>/recovered/`, tmp+sync+rename like every other durable write.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use crate::export::write_container;
-use crate::merge::IncrementalMerger;
+use crate::export::{write_container, write_container_file};
+use crate::merge::{IncrementalMerger, RankCompletion, TraceSegment};
 use crate::trace::GlobalTrace;
 use crate::wal::{read_wal, WalRecord};
 
@@ -177,11 +178,7 @@ fn scan_wals(dir: &Path, report: &mut RecoveryReport, logs: &mut BTreeMap<u64, J
     paths.sort();
     for path in paths.iter().filter(|p| p.extension().is_some_and(|e| e == "wal")) {
         let replay = match read_wal(path) {
-            Ok(Ok(replay)) => replay,
-            Ok(Err(e)) => {
-                report.problems.push(format!("{}: {e}", path.display()));
-                continue;
-            }
+            Ok(replay) => replay,
             Err(e) => {
                 report.problems.push(format!("{}: {e}", path.display()));
                 continue;
@@ -300,24 +297,41 @@ fn replay_wal_job(dir: &Path, job: u64, log: JobLog) -> RecoveredJob {
     for &(rank, seq) in &log.quarantines {
         problems.push(format!("segment {rank}/{seq} was quarantined before the crash"));
     }
-    // A job's records may be spread over several WAL files (shards,
-    // per-connection logs, logs from before and after a collector
-    // restart) and may contain duplicates (a retransmit whose first
-    // delivery was logged but whose ack was lost). Replay must not
-    // depend on file-scan order: sort segments by (rank, seq), keep the
-    // first copy of any duplicate, and apply completions after every
-    // segment — the merger demands in-order sequences per rank, and
-    // `finalize` canonicalizes, so any union of logs covering the same
-    // stream rebuilds the same bytes.
-    let mut segs: BTreeMap<(usize, u32), crate::merge::TraceSegment> = BTreeMap::new();
-    let mut completes: BTreeMap<usize, crate::merge::RankCompletion> = BTreeMap::new();
-    for rec in log.records {
+    let (trace, complete) = replay_job(nranks, log.identity_check, log.records, &mut problems);
+    let calls = trace.rank_lengths.iter().sum();
+    classify(dir, job, RecoverySource::Wal, trace, calls, complete, problems)
+}
+
+/// Replays one job's logged segments and completions through a fresh
+/// merger and finalizes it: the one set of replay rules, shared by crash
+/// recovery and a degraded client's local finalize ([`crate::net`]).
+/// Returns the trace and whether every rank merged; problems are pushed
+/// onto `problems`. Other record kinds are ignored.
+///
+/// A job's records may be spread over several WAL files (shards,
+/// per-connection logs, logs from before and after a collector
+/// restart) and may contain duplicates (a retransmit whose first
+/// delivery was logged but whose ack was lost). Replay must not depend
+/// on file-scan order: segments are sorted by (rank, seq) keeping the
+/// first copy of any duplicate, and completions are applied after every
+/// segment — the merger demands in-order sequences per rank, and
+/// `finalize` canonicalizes, so any union of logs covering the same
+/// stream rebuilds the same bytes.
+pub(crate) fn replay_job(
+    nranks: usize,
+    identity_check: bool,
+    records: impl IntoIterator<Item = WalRecord>,
+    problems: &mut Vec<String>,
+) -> (GlobalTrace, bool) {
+    let mut segs: BTreeMap<(usize, u32), TraceSegment> = BTreeMap::new();
+    let mut completes: BTreeMap<usize, RankCompletion> = BTreeMap::new();
+    for rec in records {
         match rec {
             WalRecord::Segment { seg, .. } => match segs.entry((seg.rank, seg.seq)) {
-                std::collections::btree_map::Entry::Vacant(v) => {
+                Entry::Vacant(v) => {
                     v.insert(seg);
                 }
-                std::collections::btree_map::Entry::Occupied(o) => {
+                Entry::Occupied(o) => {
                     if o.get().bytes != seg.bytes {
                         problems.push(format!(
                             "segment {}/{} logged twice with different payloads; kept the first",
@@ -327,10 +341,10 @@ fn replay_wal_job(dir: &Path, job: u64, log: JobLog) -> RecoveredJob {
                 }
             },
             WalRecord::Complete { done, .. } => match completes.entry(done.rank) {
-                std::collections::btree_map::Entry::Vacant(v) => {
+                Entry::Vacant(v) => {
                     v.insert(done);
                 }
-                std::collections::btree_map::Entry::Occupied(o) => {
+                Entry::Occupied(o) => {
                     let first = o.get();
                     if (first.call_count, first.segments) != (done.call_count, done.segments) {
                         problems.push(format!(
@@ -343,7 +357,7 @@ fn replay_wal_job(dir: &Path, job: u64, log: JobLog) -> RecoveredJob {
             _ => {}
         }
     }
-    let mut merger = IncrementalMerger::new(nranks).identity_check(log.identity_check);
+    let mut merger = IncrementalMerger::new(nranks).identity_check(identity_check);
     for seg in segs.values() {
         if let Err(e) = merger.accept_segment(seg) {
             problems.push(format!("replay segment {}/{}: {e}", seg.rank, seg.seq));
@@ -364,9 +378,7 @@ fn replay_wal_job(dir: &Path, job: u64, log: JobLog) -> RecoveredJob {
         ));
     }
     let complete = merger.is_complete();
-    let trace = merger.finalize();
-    let calls = trace.rank_lengths.iter().sum();
-    classify(dir, job, RecoverySource::Wal, trace, calls, complete, problems)
+    (merger.finalize(), complete)
 }
 
 /// Reads a finished job's container back; `None` means unreadable (the
@@ -493,14 +505,7 @@ fn write_recovered(dir: &Path, job: u64, trace: Option<&GlobalTrace>) -> std::io
     let out_dir = dir.join("recovered");
     fs::create_dir_all(&out_dir)?;
     let path = out_dir.join(format!("job-{job}.pilgrim"));
-    let tmp = path.with_extension("pilgrim.tmp");
-    {
-        use std::io::Write as _;
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&write_container(trace))?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, &path)?;
+    write_container_file(&path, &write_container(trace))?;
     Ok(path)
 }
 

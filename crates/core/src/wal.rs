@@ -5,7 +5,9 @@
 //! `<spill_dir>/wal/shard-<k>.wal` *before* it is folded into the
 //! merger, so a crashed collector can replay the log into a fresh
 //! [`IncrementalMerger`](crate::merge::IncrementalMerger) and rebuild
-//! every in-flight job ([`crate::recover`]).
+//! every in-flight job ([`crate::recover`]). The same format backs the
+//! `PNT1` collector's per-connection logs and the client log
+//! ([`crate::net`]).
 //!
 //! ## Format
 //!
@@ -75,22 +77,10 @@ impl WalRecord {
     fn serialize_payload(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::JobOpen { job, nranks, identity_check } => {
-                write_varint(out, *job);
-                write_varint(out, *nranks as u64);
-                out.push(u8::from(*identity_check));
+                put_open(out, *job, *nranks, *identity_check)
             }
-            WalRecord::Segment { job, seg } => {
-                write_varint(out, *job);
-                write_varint(out, seg.rank as u64);
-                write_varint(out, seg.seq as u64);
-                out.push(u8::from(seg.sealed));
-                write_varint(out, seg.bytes.len() as u64);
-                out.extend_from_slice(&seg.bytes);
-            }
-            WalRecord::Complete { job, done } => {
-                write_varint(out, *job);
-                done.serialize(out);
-            }
+            WalRecord::Segment { job, seg } => put_segment(out, *job, seg),
+            WalRecord::Complete { job, done } => put_complete(out, *job, done),
             WalRecord::Finished { job } => write_varint(out, *job),
             WalRecord::Quarantine { job, rank, seq } => {
                 write_varint(out, *job);
@@ -111,48 +101,44 @@ impl WalRecord {
         }
     }
 
-    fn decode_payload(kind: u8, buf: &[u8]) -> Result<WalRecord, DecodeError> {
+    /// Decodes one record payload of the given WAL kind. The `PNT1` wire
+    /// decodes its record-bearing frames through this too.
+    pub(crate) fn decode_payload(kind: u8, buf: &[u8]) -> Result<WalRecord, DecodeError> {
         let pos = &mut 0usize;
         let rec = match kind {
             KIND_OPEN => {
-                let job = read(buf, pos, "wal open job")?;
-                let nranks = read(buf, pos, "wal open nranks")? as usize;
-                let flag_off = *pos;
-                let flag = *buf
-                    .get(*pos)
-                    .ok_or(DecodeError::Truncated { what: "wal open flag", offset: flag_off })?;
-                *pos += 1;
+                let job = read_u64(buf, pos, "wal open job")?;
+                let nranks = read_u64(buf, pos, "wal open nranks")? as usize;
+                let [flag] = read_array(buf, pos, "wal open flag")?;
                 WalRecord::JobOpen { job, nranks, identity_check: flag != 0 }
             }
             KIND_SEGMENT => {
-                let job = read(buf, pos, "wal segment job")?;
-                let rank = read(buf, pos, "wal segment rank")? as usize;
-                let seq = read(buf, pos, "wal segment seq")? as u32;
-                let flag_off = *pos;
-                let sealed = *buf
-                    .get(*pos)
-                    .ok_or(DecodeError::Truncated { what: "wal segment flag", offset: flag_off })?
-                    != 0;
-                *pos += 1;
-                let len_off = *pos;
-                let len = read(buf, pos, "wal segment len")? as usize;
+                let job = read_u64(buf, pos, "wal segment job")?;
+                let rank = read_u64(buf, pos, "wal segment rank")? as usize;
+                let seq = read_u64(buf, pos, "wal segment seq")? as u32;
+                let [sealed] = read_array(buf, pos, "wal segment flag")?;
+                let len = read_u64(buf, pos, "wal segment len")? as usize;
                 let bytes = buf
-                    .get(*pos..*pos + len)
-                    .ok_or(DecodeError::Truncated { what: "wal segment bytes", offset: len_off })?
+                    .get(*pos..)
+                    .and_then(|rest| rest.get(..len))
+                    .ok_or(DecodeError::Truncated { what: "wal segment bytes", offset: *pos })?
                     .to_vec();
                 *pos += len;
-                WalRecord::Segment { job, seg: TraceSegment { rank, seq, sealed, bytes } }
+                WalRecord::Segment {
+                    job,
+                    seg: TraceSegment { rank, seq, sealed: sealed != 0, bytes },
+                }
             }
             KIND_COMPLETE => {
-                let job = read(buf, pos, "wal complete job")?;
+                let job = read_u64(buf, pos, "wal complete job")?;
                 let done = RankCompletion::decode(buf, pos)?;
                 WalRecord::Complete { job, done }
             }
-            KIND_FINISHED => WalRecord::Finished { job: read(buf, pos, "wal finished job")? },
+            KIND_FINISHED => WalRecord::Finished { job: read_u64(buf, pos, "wal finished job")? },
             KIND_QUARANTINE => {
-                let job = read(buf, pos, "wal quarantine job")?;
-                let rank = read(buf, pos, "wal quarantine rank")? as usize;
-                let seq = read(buf, pos, "wal quarantine seq")? as u32;
+                let job = read_u64(buf, pos, "wal quarantine job")?;
+                let rank = read_u64(buf, pos, "wal quarantine rank")? as usize;
+                let seq = read_u64(buf, pos, "wal quarantine seq")? as u32;
                 WalRecord::Quarantine { job, rank, seq }
             }
             _ => return Err(DecodeError::Corrupt { what: "wal record kind", offset: 0 }),
@@ -164,9 +150,53 @@ impl WalRecord {
     }
 }
 
-fn read(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, DecodeError> {
+// Payload layouts of the records the WAL shares with the `PNT1` wire
+// (wire kinds 3–6 carry WAL kinds 1–4 byte for byte). Both encoders
+// write through these, borrowing the fields, so neither copies a
+// segment before framing it.
+
+pub(crate) fn put_open(out: &mut Vec<u8>, job: u64, nranks: usize, identity_check: bool) {
+    write_varint(out, job);
+    write_varint(out, nranks as u64);
+    out.push(u8::from(identity_check));
+}
+
+pub(crate) fn put_segment(out: &mut Vec<u8>, job: u64, seg: &TraceSegment) {
+    write_varint(out, job);
+    write_varint(out, seg.rank as u64);
+    write_varint(out, seg.seq as u64);
+    out.push(u8::from(seg.sealed));
+    write_varint(out, seg.bytes.len() as u64);
+    out.extend_from_slice(&seg.bytes);
+}
+
+pub(crate) fn put_complete(out: &mut Vec<u8>, job: u64, done: &RankCompletion) {
+    write_varint(out, job);
+    done.serialize(out);
+}
+
+// Field readers shared by both payload decoders: each advances `pos`
+// past its field or names the field it found truncated.
+
+pub(crate) fn read_u64(
+    buf: &[u8],
+    pos: &mut usize,
+    what: &'static str,
+) -> Result<u64, DecodeError> {
     let off = *pos;
     read_varint(buf, pos).ok_or(DecodeError::Truncated { what, offset: off })
+}
+
+pub(crate) fn read_array<const N: usize>(
+    buf: &[u8],
+    pos: &mut usize,
+    what: &'static str,
+) -> Result<[u8; N], DecodeError> {
+    let off = *pos;
+    let out = buf.get(off..).and_then(|rest| rest.get(..N)?.try_into().ok());
+    let out = out.ok_or(DecodeError::Truncated { what, offset: off })?;
+    *pos += N;
+    Ok(out)
 }
 
 /// Builds one CRC frame — `[kind: u8] [payload_len: varint] [payload]
@@ -240,7 +270,8 @@ impl WalWriter {
     /// Creates (truncating) the WAL at `path` and writes the magic.
     pub fn create(path: impl Into<PathBuf>) -> std::io::Result<WalWriter> {
         let path = path.into();
-        let mut file = OpenOptions::new().write(true).create(true).truncate(true).open(&path)?;
+        let mut file =
+            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(&path)?;
         file.write_all(WAL_MAGIC)?;
         file.sync_data()?;
         Ok(WalWriter { file, path, clean_len: WAL_MAGIC.len() as u64, records: 0 })
@@ -251,9 +282,46 @@ impl WalWriter {
         &self.path
     }
 
+    /// Renames the log file, e.g. a log written under a temporary name
+    /// over the one it replaces. Later appends follow the file.
+    pub(crate) fn rename(&mut self, to: impl Into<PathBuf>) -> std::io::Result<()> {
+        let to = to.into();
+        std::fs::rename(&self.path, &to)?;
+        self.path = to;
+        Ok(())
+    }
+
+    /// Reads back the record framed at byte `pos` of this log (a frame
+    /// boundary, e.g. the magic's length for the first record) and
+    /// returns it with the offset of the frame after it.
+    pub(crate) fn read_at(&mut self, pos: u64) -> std::io::Result<(WalRecord, u64)> {
+        // The head first — a kind byte and at most a 10-byte length
+        // varint — then the rest of the frame it announces.
+        let avail = self.clean_len.saturating_sub(pos);
+        let mut buf = vec![0u8; avail.min(11) as usize];
+        self.file.seek(SeekFrom::Start(pos))?;
+        self.file.read_exact(&mut buf)?;
+        let mut p = 1;
+        let len = read_varint(&buf, &mut p).unwrap_or(u64::MAX);
+        let total = (p as u64).saturating_add(len).saturating_add(4).min(avail) as usize;
+        let head = buf.len().min(total);
+        buf.resize(total, 0);
+        self.file.read_exact(&mut buf[head..])?;
+        let mut p = 0;
+        match next_frame(&buf, &mut p) {
+            Some(Ok(rec)) => Ok((rec, pos + p as u64)),
+            Some(Err(e)) => Err(std::io::Error::other(e.offset_by(pos as usize))),
+            None => Err(std::io::Error::other(format!("torn frame at byte {pos}"))),
+        }
+    }
+
     /// Frames, appends, and syncs one record. Returns the frame size.
+    /// The frame always lands at the clean end — after a read, or after
+    /// a torn append whose truncation failed, the next frame overwrites
+    /// the torn bytes instead of following them.
     pub fn append(&mut self, rec: &WalRecord) -> std::io::Result<u64> {
         let bytes = frame(rec);
+        self.file.seek(SeekFrom::Start(self.clean_len))?;
         self.file.write_all(&bytes)?;
         self.file.sync_data()?;
         self.clean_len += bytes.len() as u64;
@@ -268,6 +336,7 @@ impl WalWriter {
     /// the file carries a torn tail, exactly what a crash leaves.
     pub fn append_torn(&mut self, rec: &WalRecord) -> std::io::Result<u64> {
         let bytes = frame(rec);
+        self.file.seek(SeekFrom::Start(self.clean_len))?;
         self.file.write_all(&bytes[..bytes.len() / 2])?;
         self.file.sync_data()?;
         Err(std::io::Error::new(
@@ -280,7 +349,6 @@ impl WalWriter {
     /// append, so later records land on a clean boundary.
     pub fn truncate_to_clean(&mut self) -> std::io::Result<()> {
         self.file.set_len(self.clean_len)?;
-        self.file.seek(SeekFrom::Start(self.clean_len))?;
         self.file.sync_data()
     }
 
@@ -355,11 +423,11 @@ fn next_frame(buf: &[u8], pos: &mut usize) -> Option<Result<WalRecord, DecodeErr
     }
 }
 
-/// Reads and replays one WAL file from disk.
-pub fn read_wal(path: &Path) -> std::io::Result<Result<WalReplay, DecodeError>> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    Ok(decode_wal(&bytes))
+/// Reads and replays one WAL file from disk; a missing magic is an
+/// [`InvalidData`](std::io::ErrorKind::InvalidData) error.
+pub fn read_wal(path: &Path) -> std::io::Result<WalReplay> {
+    let bytes = std::fs::read(path)?;
+    decode_wal(&bytes).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]
@@ -495,7 +563,7 @@ mod tests {
         let on_disk = std::fs::metadata(&path).expect("stat").len();
         assert!(on_disk > clean, "torn bytes must be present ({on_disk} <= {clean})");
         // ...and a crash-time reader replays exactly the clean prefix.
-        let replay = read_wal(&path).expect("read").expect("magic");
+        let replay = read_wal(&path).expect("read wal");
         assert_eq!(replay.records.len(), 2);
         assert_eq!(replay.clean_bytes, clean);
         assert!(replay.torn.is_some());
@@ -513,13 +581,13 @@ mod tests {
         w.append(&recs[1]).expect("append");
         // A torn append leaves a damaged tail the reader skips...
         assert!(w.append_torn(&recs[2]).is_err());
-        let replay = read_wal(&path).expect("read").expect("magic");
+        let replay = read_wal(&path).expect("read wal");
         assert_eq!(replay.records.len(), 2);
         assert!(replay.torn.is_some());
         // ...and truncate-to-clean lets the log continue.
         w.truncate_to_clean().expect("truncate");
         w.append(&recs[3]).expect("append after recovery");
-        let replay = read_wal(&path).expect("read").expect("magic");
+        let replay = read_wal(&path).expect("read wal");
         assert_eq!(replay.records.len(), 3);
         assert!(replay.torn.is_none());
         assert_eq!(w.records(), 3);

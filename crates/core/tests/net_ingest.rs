@@ -14,7 +14,10 @@
 //!   every job byte-identical to an uninterrupted twin run;
 //! - a collector that never answers exhausts the retry budget, degrades
 //!   to local spill without wedging the traced rank, and the local
-//!   container records the degradation in its completeness manifest.
+//!   container records the degradation in its completeness manifest;
+//! - the degraded client's spill dir is an ordinary recoverable
+//!   directory: `recover_dir` over it classifies the job as `finish`
+//!   reported it.
 
 use std::fs;
 use std::net::TcpListener;
@@ -22,7 +25,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pilgrim::recover::recover_dir;
+use pilgrim::recover::{recover_dir, RecoverySource};
 use pilgrim::{
     serve, stable_job_id, DegradationStage, GlobalTrace, IngestConfig, IngestSession, NetClient,
     NetClientConfig, NetFaultPlan, NetJobOutcome, NetServerConfig, PilgrimConfig, PilgrimTracer,
@@ -268,4 +271,44 @@ fn unreachable_collector_degrades_to_local_spill_without_wedging() {
         !trace.fidelity().net_spilled_ranks.is_empty(),
         "fidelity() must surface the spilled ranks"
     );
+}
+
+#[test]
+fn degraded_client_spill_dir_recovers_as_finish_reported() {
+    let dir = temp_dir("degrade-recover");
+    let port = {
+        let l = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        l.local_addr().expect("addr").port()
+    };
+    let client = NetClient::start(
+        NetClientConfig::new(format!("127.0.0.1:{port}"))
+            .client_id(4)
+            .queue_capacity(4)
+            .retry(RetryPolicy::default().max_attempts(2).backoff(Duration::from_millis(1)))
+            .spill_dir(&dir),
+    )
+    .expect("client");
+    let tcfg = PilgrimConfig::default();
+    let handle = client.open_job(0, 2, tcfg.merge_identity_check);
+    stream_world(Arc::new(handle.clone()), tcfg, 2, 11);
+    let out = handle.finish();
+    client.shutdown();
+    let local = out.local_path.clone().expect("degraded job must finalize a local container");
+
+    // `finish` settled the job in the client log, so recovery trusts
+    // the container it wrote and reports it recovered, unchanged.
+    let report = recover_dir(&dir).expect("recover the client spill dir");
+    assert_eq!(report.wal_files, 1, "one client log: {:?}", report.problems);
+    assert_eq!(report.jobs.len(), 1);
+    let job = &report.jobs[0];
+    assert_eq!(job.job, out.job);
+    assert_eq!(job.state, RecoveryState::Recovered, "{:?}", job.problems);
+    assert_eq!(job.source, RecoverySource::Spill);
+    assert_eq!(job.output.as_ref(), Some(&local));
+    let trace = job.trace.as_ref().expect("recovered trace");
+    assert!(
+        !trace.fidelity().net_spilled_ranks.is_empty(),
+        "fidelity() must surface the spilled ranks"
+    );
+    let _ = fs::remove_dir_all(&dir);
 }

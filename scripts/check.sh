@@ -206,6 +206,17 @@ wrong_out=$(./target/release/pilgrimd send --addr "$auth_addr" --jobs 1 --ranks 
   { echo "FAIL: wrong-key send exited $wrong_code, want 3 (degraded)." >&2; exit 1; }
 echo "$wrong_out" | grep -q '"auth_failed":true' ||
   { echo "FAIL: wrong-key send envelope does not surface auth_failed." >&2; exit 1; }
+# The degraded client's spill dir is an ordinary recoverable PWL1
+# directory: recovery finds its one job recovered, and every container
+# it names validates.
+wrong_rec=$(./target/release/trace_tool recover target/pilgrimd-auth/wrong-client | tail -1) ||
+  { echo "FAIL: trace_tool recover failed on the degraded client spill dir." >&2; exit 1; }
+echo "$wrong_rec" | grep -q '"total":1,"recovered":1,' ||
+  { echo "FAIL: degraded client spill dir did not recover its job: $wrong_rec" >&2; exit 1; }
+for c in $(echo "$wrong_rec" | grep -o '"output":"[^"]*"' | cut -d'"' -f4); do
+  ./target/release/trace_tool validate "$c" > /dev/null ||
+    { echo "FAIL: recovered container $c does not validate." >&2; exit 1; }
+done
 kill -TERM "$auth_serve_pid"
 wait "$auth_serve_pid" ||
   { echo "FAIL: authed pilgrimd serve exited nonzero after SIGTERM drain." >&2; exit 1; }
