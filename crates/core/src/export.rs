@@ -160,8 +160,12 @@ pub(crate) fn section_name(kind: u8) -> &'static str {
     }
 }
 
-const fn make_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-16 tables for the reflected IEEE polynomial: `T[0]` is the
+/// classic bytewise table, and `T[k][b]` is the CRC contribution of byte
+/// `b` followed by `k` zero bytes, so sixteen lookups fold one 16-byte
+/// chunk at once.
+const fn make_crc_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -170,19 +174,40 @@ const fn make_crc_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC_TABLE: [u32; 256] = make_crc_table();
+static CRC_TABLES: [[u32; 256]; 16] = make_crc_tables();
 
-/// IEEE CRC-32 (the zlib/gzip polynomial), table-driven, no dependencies.
+/// IEEE CRC-32 (the zlib/gzip polynomial), slicing-by-16, no dependencies.
 pub(crate) fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let (chunks, tail) = data.as_chunks::<16>();
+    for chunk in chunks {
+        let [b0, b1, b2, b3] = (c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]))
+            .to_le_bytes()
+            .map(usize::from);
+        c = t[15][b0] ^ t[14][b1] ^ t[13][b2] ^ t[12][b3];
+        for (j, &b) in chunk[4..].iter().enumerate() {
+            c ^= t[11 - j][usize::from(b)];
+        }
+    }
+    for &b in tail {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -364,6 +389,51 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    }
+
+    /// The classic one-table, one-byte-at-a-time CRC-32.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_reference() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let buf: Vec<u8> = (0..4096 + 16)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 24) as u8
+            })
+            .collect();
+        for start in 0..16 {
+            for len in 0..=4096 {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "start {start} len {len}");
+            }
+        }
+    }
+
+    /// Kernel timing, not a check: `cargo test --release -p pilgrim --lib
+    /// crc32_ns_per_byte -- --ignored --nocapture`.
+    #[test]
+    #[ignore]
+    fn crc32_ns_per_byte() {
+        let buf = vec![0x5Au8; 1 << 20];
+        let ns_per_byte = |f: fn(&[u8]) -> u32| {
+            let t = std::time::Instant::now();
+            for _ in 0..64 {
+                std::hint::black_box(f(std::hint::black_box(&buf)));
+            }
+            t.elapsed().as_nanos() as f64 / (64.0 * buf.len() as f64)
+        };
+        let (bytewise, sliced) = (ns_per_byte(crc32_bytewise), ns_per_byte(crc32));
+        println!("crc32 ns/B: bytewise {bytewise:.3}, slicing-by-16 {sliced:.3}");
     }
 
     #[test]

@@ -308,8 +308,8 @@ fn recv_or_adopt<T>(
         }
         return;
     }
-    let (msg, retries) = ctx.tool_recv_timeout(partner, tag, recv_budget(ctx, policy));
-    metrics.incr("merge.retries", retries);
+    let (msg, waits) = ctx.tool_recv_timeout(partner, tag, recv_budget(ctx, policy));
+    metrics.incr("merge.recv_waits", waits);
     match msg {
         Some(bytes) => merge_in(state, bytes),
         None => {
@@ -399,9 +399,9 @@ fn bcast_bounded(
     let data = if rank == 0 {
         data.expect("rank 0 provides bcast payload")
     } else {
-        let (msg, retries) =
+        let (msg, waits) =
             ctx.tool_recv_timeout(live_ancestor(ctx, rank), tag, recv_budget(ctx, policy));
-        metrics.incr("merge.retries", retries);
+        metrics.incr("merge.recv_waits", waits);
         match msg {
             Some(d) => d,
             None => {

@@ -1138,15 +1138,10 @@ fn write_framed(
     bytes: &[u8],
     mac: &mut Option<MacState>,
 ) -> std::io::Result<()> {
-    match mac.as_mut() {
-        Some(m) => {
-            let tag = m.seal(bytes);
-            let mut out = Vec::with_capacity(bytes.len() + MAC_LEN);
-            out.extend_from_slice(bytes);
-            out.extend_from_slice(&tag);
-            stream.write_all(&out)
-        }
-        None => stream.write_all(bytes),
+    if mac.is_some() {
+        stream.write_all(&seal_bytes(bytes, mac))
+    } else {
+        stream.write_all(bytes)
     }
 }
 

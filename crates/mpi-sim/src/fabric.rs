@@ -698,10 +698,10 @@ impl Fabric {
         let slot = self.post_tool_recv(me, src_world, tag);
         let deadline = Instant::now() + timeout;
         let mut slice = Duration::from_millis(1);
-        let mut retries = 0u64;
+        let mut waits = 0u64;
         loop {
             if let Some(m) = slot.try_take() {
-                return (Some(m.data), retries);
+                return (Some(m.data), waits);
             }
             // Death check before the (re-)readiness check below makes the
             // fast-fail race-free: fills happen-before mark_dead.
@@ -714,12 +714,12 @@ impl Fabric {
             }
             slot.wait_timeout(slice.min(deadline - now));
             self.check_abort();
-            retries += 1;
+            waits += 1;
             slice = (slice * 2).min(Duration::from_millis(50));
         }
         self.cancel_tool_recv(me, &slot);
         // A fill may have raced the cancellation; honor it.
-        (slot.try_take().map(|m| m.data), retries)
+        (slot.try_take().map(|m| m.data), waits)
     }
 }
 
@@ -921,9 +921,9 @@ mod tests {
     #[test]
     fn tool_recv_timeout_expires_without_sender() {
         let f = Fabric::new(2);
-        let (msg, retries) = f.tool_recv_timeout(1, 0, 9, Duration::from_millis(20));
+        let (msg, waits) = f.tool_recv_timeout(1, 0, 9, Duration::from_millis(20));
         assert!(msg.is_none());
-        assert!(retries > 0, "backoff should have retried at least once");
+        assert!(waits > 0, "backoff should have waited at least one slice");
         // The posted recv was cancelled: a late message stays receivable.
         f.tool_send(1, 0, 9, vec![8]);
         let (late, _) = f.tool_recv_timeout(1, 0, 9, Duration::from_millis(20));

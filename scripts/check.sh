@@ -295,6 +295,30 @@ check_panics crates/core/src/auth.rs 0
 check_panics crates/core/src/rr.rs 0
 check_panics crates/core/src/nondet.rs 0
 
+echo "== unsafe budget: no unsafe outside the two audited sites =="
+# Non-test code under crates/*/src may use `unsafe` only in auth.rs (the
+# one call into the SHA-NI block function, behind run-time feature
+# detection) and pilgrimd.rs (the raw libc `signal` registration).
+# Comment lines are ignored; a test module ends the scan of its file.
+unsafe_lines() {
+  awk '/^#\[cfg\(test\)\]/{t=1; next} t && /^ *(pub(\([a-z]+\))? )?mod /{exit} {t=0; print}' "$1" |
+    grep -v '^[[:space:]]*//' | grep -c '\bunsafe\b' || true
+}
+declare -A unsafe_budget=(
+  [crates/core/src/auth.rs]=1
+  [crates/bench/src/bin/pilgrimd.rs]=1
+)
+while IFS= read -r f; do
+  n=$(unsafe_lines "$f")
+  budget=${unsafe_budget[$f]:-0}
+  if [ "$n" -gt "$budget" ]; then
+    echo "FAIL: $f has $n non-test line(s) with unsafe (budget $budget)." >&2
+    echo "Use safe code, or audit the new site and add it to this lane." >&2
+    exit 1
+  fi
+  if [ -n "${unsafe_budget[$f]:-}" ]; then echo "$f: $n/$budget unsafe lines"; fi
+done < <(find crates/*/src -name '*.rs' | sort)
+
 echo "== bench baseline: no >10% ingest throughput regression =="
 # Fresh best-of-2 sweep vs the committed conservative (worst-of-3)
 # baseline; any row more than 10% below the baseline's calls/sec fails.
