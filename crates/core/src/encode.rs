@@ -7,6 +7,8 @@
 //! value carries a tag byte — so [`decode_signature`] recovers the full
 //! argument list, which is what makes the trace (near) lossless.
 
+use std::borrow::Borrow;
+
 use pilgrim_sequitur::{read_varint, write_varint};
 
 /// Marker values for special ranks.
@@ -199,9 +201,16 @@ pub struct SigWriter {
 impl SigWriter {
     /// Starts a signature for function id `func`.
     pub fn new(func: u16) -> Self {
-        let mut w = SigWriter { buf: Vec::with_capacity(32) };
-        write_varint(&mut w.buf, func as u64);
-        w
+        Self::reusing(Vec::with_capacity(32), func)
+    }
+
+    /// Starts a signature for function id `func` in `buf`, discarding its
+    /// contents but keeping its capacity; [`SigWriter::into_bytes`] hands
+    /// the buffer back for the next signature.
+    pub fn reusing(mut buf: Vec<u8>, func: u16) -> Self {
+        buf.clear();
+        write_varint(&mut buf, func as u64);
+        SigWriter { buf }
     }
 
     pub fn into_bytes(self) -> Vec<u8> {
@@ -313,11 +322,19 @@ impl SigWriter {
         self.uv(sym);
     }
 
-    pub fn request_arr(&mut self, syms: &[Option<u64>]) {
+    /// Encodes a request array from a slice or any exact-size iterator of
+    /// symbolic ids (`None` is `MPI_REQUEST_NULL`).
+    pub fn request_arr<I>(&mut self, syms: I)
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+        I::Item: Borrow<Option<u64>>,
+    {
+        let syms = syms.into_iter();
         self.tag(ValTag::RequestArr);
         self.uv(syms.len() as u64);
         for s in syms {
-            match s {
+            match *s.borrow() {
                 // 0 marks REQUEST_NULL; live ids are shifted by one.
                 None => self.uv(0),
                 Some(id) => self.uv(id + 1),
@@ -338,24 +355,22 @@ impl SigWriter {
     }
 
     pub fn status_arr(&mut self, sts: &[(i32, i32)], caller_rank: i64, cfg: &EncoderConfig) {
-        let bases = vec![caller_rank; sts.len()];
-        self.status_arr_with_bases(sts, &bases, cfg);
+        self.status_arr_with_bases(sts, |_| caller_rank, cfg);
     }
 
-    /// Status-array encoding with a per-entry relative base (each status
-    /// belongs to a request that may have been created on a different
-    /// communicator).
+    /// Status-array encoding with a per-entry relative base: `base(k)` is
+    /// the base of entry `k` (each status belongs to a request that may
+    /// have been created on a different communicator).
     pub fn status_arr_with_bases(
         &mut self,
         sts: &[(i32, i32)],
-        bases: &[i64],
+        base: impl Fn(usize) -> i64,
         cfg: &EncoderConfig,
     ) {
-        debug_assert_eq!(sts.len(), bases.len());
         self.tag(ValTag::StatusArr);
         self.uv(sts.len() as u64);
-        for (&(s, t), &base) in sts.iter().zip(bases) {
-            self.rank_code(Self::code_for(s, base, cfg.relative_ranks));
+        for (k, &(s, t)) in sts.iter().enumerate() {
+            self.rank_code(Self::code_for(s, base(k), cfg.relative_ranks));
             self.iv(t as i64);
         }
     }
@@ -495,7 +510,7 @@ mod tests {
         w.op(1);
         w.group(4);
         w.request(12);
-        w.request_arr(&[Some(0), None, Some(3)]);
+        w.request_arr([Some(0), None, Some(3)]);
         w.ptr(5, 128, &c);
         w.status(1, 42, 3, &c);
         w.status_arr(&[(0, 1), (-2, -1)], 3, &c);

@@ -14,6 +14,8 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
+use pilgrim_sequitur::FixedState;
+
 /// A pool of reusable symbolic ids; always hands out the smallest free id.
 #[derive(Debug, Default, Clone)]
 pub struct IdPool {
@@ -50,10 +52,16 @@ impl IdPool {
     }
 }
 
-/// Per-signature id pools for `MPI_Request` symbolic ids.
+/// Per-signature id pools for `MPI_Request` symbolic ids. Each pool
+/// signature is interned once; a request then remembers its pool by
+/// index, so releasing an id neither hashes nor keeps a copy of the
+/// signature.
 #[derive(Debug, Default)]
 pub struct SigPools {
-    pools: HashMap<Vec<u8>, IdPool>,
+    /// Pool signature -> index into `pools`. Keyed by this process's own
+    /// encoded signatures, so the fixed-seed hasher applies.
+    index: HashMap<Vec<u8>, u32, FixedState>,
+    pools: Vec<IdPool>,
 }
 
 impl SigPools {
@@ -62,14 +70,26 @@ impl SigPools {
     }
 
     /// Acquires an id from the pool of the given signature (the call
-    /// signature *excluding* the request argument).
-    pub fn acquire(&mut self, sig: &[u8]) -> u64 {
-        self.pools.entry(sig.to_vec()).or_default().acquire()
+    /// signature *excluding* the request argument), returning the pool's
+    /// index with it. The bytes are copied only when they open a new pool.
+    pub fn acquire(&mut self, sig: &[u8]) -> (u32, u64) {
+        let pool = match self.index.get(sig) {
+            Some(&p) => p,
+            None => {
+                let p = self.pools.len() as u32;
+                self.index.insert(sig.to_vec(), p);
+                self.pools.push(IdPool::new());
+                p
+            }
+        };
+        (pool, self.pools[pool as usize].acquire())
     }
 
-    /// Releases an id back to its signature's pool.
-    pub fn release(&mut self, sig: &[u8], id: u64) {
-        self.pools.get_mut(sig).expect("release for unknown signature pool").release(id);
+    /// Releases an id back to the pool [`SigPools::acquire`] took it from.
+    pub fn release(&mut self, pool: u32, id: u64) {
+        if let Some(p) = self.pools.get_mut(pool as usize) {
+            p.release(id);
+        }
     }
 
     /// Number of distinct signature pools.
@@ -110,13 +130,13 @@ mod tests {
     #[test]
     fn per_signature_pools_are_independent() {
         let mut sp = SigPools::new();
-        let a = b"sig-a".to_vec();
-        let b = b"sig-b".to_vec();
-        assert_eq!(sp.acquire(&a), 0);
-        assert_eq!(sp.acquire(&b), 0, "different signatures use separate pools");
-        assert_eq!(sp.acquire(&a), 1);
-        sp.release(&a, 0);
-        assert_eq!(sp.acquire(&a), 0);
+        let (pa, a0) = sp.acquire(b"sig-a");
+        let (pb, b0) = sp.acquire(b"sig-b");
+        assert_eq!((a0, b0), (0, 0), "different signatures use separate pools");
+        assert_ne!(pa, pb);
+        assert_eq!(sp.acquire(b"sig-a"), (pa, 1));
+        sp.release(pa, 0);
+        assert_eq!(sp.acquire(b"sig-a"), (pa, 0));
         assert_eq!(sp.num_pools(), 2);
     }
 
@@ -126,17 +146,18 @@ mod tests {
         // completed in random order; ids must repeat across iterations.
         let mut sp = SigPools::new();
         let sigs: Vec<Vec<u8>> = (0..3).map(|i| vec![i as u8]).collect();
-        let mut first_iter: Option<Vec<u64>> = None;
+        let mut first_iter: Option<Vec<(u32, u64)>> = None;
         let completion_orders = [[0usize, 1, 2], [2, 1, 0], [1, 2, 0], [0, 2, 1]];
         for order in completion_orders {
-            let ids: Vec<u64> = sigs.iter().map(|s| sp.acquire(s)).collect();
+            let ids: Vec<(u32, u64)> = sigs.iter().map(|s| sp.acquire(s)).collect();
             if let Some(f) = &first_iter {
                 assert_eq!(&ids, f, "ids must be stable across iterations");
             } else {
                 first_iter = Some(ids.clone());
             }
             for &i in &order {
-                sp.release(&sigs[i], ids[i]);
+                let (pool, id) = ids[i];
+                sp.release(pool, id);
             }
         }
     }

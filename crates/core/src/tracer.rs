@@ -10,7 +10,7 @@ use std::time::Instant;
 use mpi_sim::funcs::FuncId;
 use mpi_sim::hooks::{Arg, CallRec, ToolRequest, TraceCtx, Tracer};
 use mpi_sim::{ANY_SOURCE, ANY_TAG, PROC_NULL};
-use pilgrim_sequitur::{FlatGrammar, FlatRule, Grammar, Symbol};
+use pilgrim_sequitur::{FixedState, FlatGrammar, FlatRule, Grammar, Symbol};
 
 use crate::checkpoint::{decode_checkpoint, encode_checkpoint};
 use crate::cst::Cst;
@@ -192,7 +192,8 @@ pub struct CapturedCall {
 #[derive(Debug, Clone)]
 struct ReqEntry {
     sym: u64,
-    pool_sig: Vec<u8>,
+    /// The [`SigPools`] pool `sym` came from.
+    pool: u32,
     comm_rank: i64,
     /// Persistent requests keep their id across completions; only
     /// `MPI_Request_free` releases it.
@@ -205,19 +206,27 @@ pub struct PilgrimTracer {
     rank: usize,
     cst: Cst,
     grammar: Grammar,
-    /// Raw comm handle -> globally consistent symbolic id (§3.3.1).
-    comm_ids: HashMap<u32, u64>,
+    /// Raw comm handle -> globally consistent symbolic id (§3.3.1). This
+    /// and the other handle maps are keyed by this process's own handles,
+    /// so they use the fixed-seed hasher.
+    comm_ids: HashMap<u32, u64, FixedState>,
     /// Highest comm symbolic id assigned locally (monotonic).
     comm_high_water: u64,
     /// Pending `MPI_Comm_idup` id all-reduces: (new handle, request).
     pending_idups: Vec<(u32, ToolRequest)>,
-    dtype_ids: HashMap<u32, u64>,
+    dtype_ids: HashMap<u32, u64, FixedState>,
     dtype_pool: IdPool,
-    group_ids: HashMap<u32, u64>,
+    group_ids: HashMap<u32, u64, FixedState>,
     group_pool: IdPool,
     /// Raw request id -> symbolic id bookkeeping (§3.4.3).
-    reqs: HashMap<u64, ReqEntry>,
+    reqs: HashMap<u64, ReqEntry, FixedState>,
     req_pools: SigPools,
+    /// Scratch reused by every call so the steady-state hot path does not
+    /// allocate: the signature being encoded, the raw ids of the requests
+    /// a call completes, and the relative-rank base of each status.
+    sig: Vec<u8>,
+    completed: Vec<u64>,
+    status_bases: Vec<i64>,
     mem: MemTracker,
     timing: Option<TimingCompressor>,
     /// Resource governor (active only with [`PilgrimConfig::memory_budget`]).
@@ -243,7 +252,7 @@ pub struct PilgrimTracer {
     nondet: BTreeMap<u64, NondetEvent>,
     /// Raw request id -> call index of the wildcard `Irecv` that created
     /// it, until its completion reveals the match.
-    wildcard_irecvs: HashMap<u64, u64>,
+    wildcard_irecvs: HashMap<u64, u64, FixedState>,
     metrics: MetricsRegistry,
     stats: OverheadStats,
     captured: Vec<CapturedCall>,
@@ -258,13 +267,29 @@ pub struct PilgrimTracer {
 /// identity for built-ins and pool ids for deriveds).
 const DERIVED_DTYPE_BASE: u64 = 16;
 
+/// The raw ids of a `RequestArr` argument (empty for any other kind).
+fn req_arr(a: &Arg) -> &[u64] {
+    match a {
+        Arg::RequestArr(v) => v,
+        _ => &[],
+    }
+}
+
+/// The value of an `Int` argument (0 for any other kind).
+fn int_arg(a: &Arg) -> i64 {
+    match a {
+        Arg::Int(v) => *v,
+        _ => 0,
+    }
+}
+
 impl PilgrimTracer {
     pub fn new(rank: usize, cfg: PilgrimConfig) -> Self {
         let timing = match cfg.timing {
             TimingMode::Aggregate => None,
             TimingMode::Lossy { base } => Some(TimingCompressor::new(base)),
         };
-        let mut comm_ids = HashMap::new();
+        let mut comm_ids = HashMap::default();
         comm_ids.insert(0, 0); // MPI_COMM_WORLD is id 0 everywhere.
         PilgrimTracer {
             cfg,
@@ -274,12 +299,15 @@ impl PilgrimTracer {
             comm_ids,
             comm_high_water: 0,
             pending_idups: Vec::new(),
-            dtype_ids: HashMap::new(),
+            dtype_ids: HashMap::default(),
             dtype_pool: IdPool::new(),
-            group_ids: HashMap::new(),
+            group_ids: HashMap::default(),
             group_pool: IdPool::new(),
-            reqs: HashMap::new(),
+            reqs: HashMap::default(),
             req_pools: SigPools::new(),
+            sig: Vec::new(),
+            completed: Vec::new(),
+            status_bases: Vec::new(),
             mem: MemTracker::new(),
             timing,
             governor: Governor::new(cfg.memory_budget),
@@ -289,7 +317,7 @@ impl PilgrimTracer {
             stream_seq: 0,
             timing_dropped: false,
             nondet: BTreeMap::new(),
-            wildcard_irecvs: HashMap::new(),
+            wildcard_irecvs: HashMap::default(),
             metrics: MetricsRegistry::new(cfg.metrics),
             stats: OverheadStats::default(),
             captured: Vec::new(),
@@ -464,61 +492,45 @@ impl PilgrimTracer {
     // Request completion semantics
     // ------------------------------------------------------------------
 
-    /// Raw request ids whose completion this record reports.
-    fn completed_requests(rec: &CallRec) -> Vec<u64> {
-        let arr = |a: &Arg| -> Vec<u64> {
-            match a {
-                Arg::RequestArr(v) => v.clone(),
-                _ => Vec::new(),
-            }
-        };
-        let int = |a: &Arg| -> i64 {
-            match a {
-                Arg::Int(v) => *v,
-                _ => 0,
-            }
-        };
+    /// Fills `out` with the raw request ids whose completion this record
+    /// reports.
+    fn completed_requests(rec: &CallRec, out: &mut Vec<u64>) {
+        out.clear();
+        let live = |r: &u64| *r != u64::MAX;
         match rec.func {
-            FuncId::Wait | FuncId::RequestFree => match rec.args.first() {
-                Some(Arg::Request(r)) if *r != u64::MAX => vec![*r],
-                _ => vec![],
-            },
-            FuncId::Waitall => arr(&rec.args[1]).into_iter().filter(|&r| r != u64::MAX).collect(),
+            FuncId::Wait | FuncId::RequestFree => {
+                if let Some(Arg::Request(r)) = rec.args.first() {
+                    out.extend(Some(*r).filter(live));
+                }
+            }
+            FuncId::Waitall => out.extend(req_arr(&rec.args[1]).iter().copied().filter(live)),
             FuncId::Waitany => {
-                let idx = int(&rec.args[2]);
-                if idx < 0 {
-                    vec![]
-                } else {
-                    vec![arr(&rec.args[1])[idx as usize]]
+                let idx = int_arg(&rec.args[2]);
+                if idx >= 0 {
+                    out.push(req_arr(&rec.args[1])[idx as usize]);
                 }
             }
             FuncId::Waitsome | FuncId::Testsome => {
-                let reqs = arr(&rec.args[1]);
-                match &rec.args[3] {
-                    Arg::IntArr(idx) => idx.iter().map(|&i| reqs[i as usize]).collect(),
-                    _ => vec![],
+                let reqs = req_arr(&rec.args[1]);
+                if let Arg::IntArr(idx) = &rec.args[3] {
+                    out.extend(idx.iter().map(|&i| reqs[i as usize]));
                 }
             }
-            FuncId::Test => match (&rec.args[0], int(&rec.args[1])) {
-                (Arg::Request(r), 1) if *r != u64::MAX => vec![*r],
-                _ => vec![],
-            },
-            FuncId::Testall => {
-                if int(&rec.args[2]) == 1 {
-                    arr(&rec.args[1]).into_iter().filter(|&r| r != u64::MAX).collect()
-                } else {
-                    vec![]
+            FuncId::Test => {
+                if let (Arg::Request(r), 1) = (&rec.args[0], int_arg(&rec.args[1])) {
+                    out.extend(Some(*r).filter(live));
                 }
+            }
+            FuncId::Testall if int_arg(&rec.args[2]) == 1 => {
+                out.extend(req_arr(&rec.args[1]).iter().copied().filter(live));
             }
             FuncId::Testany => {
-                let idx = int(&rec.args[2]);
-                if int(&rec.args[3]) == 1 && idx >= 0 {
-                    vec![arr(&rec.args[1])[idx as usize]]
-                } else {
-                    vec![]
+                let idx = int_arg(&rec.args[2]);
+                if int_arg(&rec.args[3]) == 1 && idx >= 0 {
+                    out.push(req_arr(&rec.args[1])[idx as usize]);
                 }
             }
-            _ => vec![],
+            _ => {}
         }
     }
 
@@ -549,57 +561,50 @@ impl PilgrimTracer {
         )
     }
 
-    /// Caller ranks to use when encoding the statuses of a completion
-    /// record: each status belongs to a specific request, whose creation
-    /// communicator determines the relative-rank base. Falls back to
-    /// `caller_rank` when the request is unknown.
-    fn status_ranks(&self, rec: &CallRec, caller_rank: i64) -> Vec<i64> {
-        let look = |raw: u64| -> i64 { self.reqs.get(&raw).map_or(caller_rank, |e| e.comm_rank) };
-        let arr = |a: &Arg| -> Vec<u64> {
-            match a {
-                Arg::RequestArr(v) => v.clone(),
-                _ => Vec::new(),
-            }
-        };
-        let int = |a: &Arg| -> i64 {
-            match a {
-                Arg::Int(v) => *v,
-                _ => 0,
-            }
-        };
+    /// Fills `out` with the caller ranks to use when encoding the
+    /// statuses of a completion record: each status belongs to a specific
+    /// request, whose creation communicator determines the relative-rank
+    /// base. Falls back to `caller_rank` when the request is unknown.
+    fn status_ranks(
+        reqs: &HashMap<u64, ReqEntry, FixedState>,
+        rec: &CallRec,
+        caller_rank: i64,
+        out: &mut Vec<i64>,
+    ) {
+        out.clear();
+        let look = |raw: u64| -> i64 { reqs.get(&raw).map_or(caller_rank, |e| e.comm_rank) };
+        let look_live = |raw: u64| if raw == u64::MAX { caller_rank } else { look(raw) };
         match rec.func {
-            FuncId::Wait | FuncId::Test => match rec.args.first() {
-                Some(Arg::Request(r)) if *r != u64::MAX => vec![look(*r)],
-                _ => vec![caller_rank],
-            },
-            FuncId::Waitall | FuncId::Testall => arr(&rec.args[1])
-                .into_iter()
-                .map(|r| if r == u64::MAX { caller_rank } else { look(r) })
-                .collect(),
+            FuncId::Wait | FuncId::Test => out.push(match rec.args.first() {
+                Some(Arg::Request(r)) => look_live(*r),
+                _ => caller_rank,
+            }),
+            FuncId::Waitall | FuncId::Testall => {
+                out.extend(req_arr(&rec.args[1]).iter().map(|&r| look_live(r)));
+            }
             FuncId::Waitany => {
-                let idx = int(&rec.args[2]);
-                if idx >= 0 {
-                    vec![look(arr(&rec.args[1])[idx as usize])]
+                let idx = int_arg(&rec.args[2]);
+                out.push(if idx >= 0 {
+                    look(req_arr(&rec.args[1])[idx as usize])
                 } else {
-                    vec![caller_rank]
-                }
+                    caller_rank
+                });
             }
             FuncId::Testany => {
-                let idx = int(&rec.args[2]);
-                if int(&rec.args[3]) == 1 && idx >= 0 {
-                    vec![look(arr(&rec.args[1])[idx as usize])]
+                let idx = int_arg(&rec.args[2]);
+                out.push(if int_arg(&rec.args[3]) == 1 && idx >= 0 {
+                    look(req_arr(&rec.args[1])[idx as usize])
                 } else {
-                    vec![caller_rank]
-                }
+                    caller_rank
+                });
             }
             FuncId::Waitsome | FuncId::Testsome => {
-                let reqs = arr(&rec.args[1]);
-                match &rec.args[3] {
-                    Arg::IntArr(idx) => idx.iter().map(|&i| look(reqs[i as usize])).collect(),
-                    _ => vec![],
+                let raws = req_arr(&rec.args[1]);
+                if let Arg::IntArr(idx) = &rec.args[3] {
+                    out.extend(idx.iter().map(|&i| look(raws[i as usize])));
                 }
             }
-            _ => vec![],
+            _ => {}
         }
     }
 
@@ -799,7 +804,9 @@ impl PilgrimTracer {
     // Signature encoding
     // ------------------------------------------------------------------
 
-    fn encode(&mut self, ctx: &TraceCtx<'_>, rec: &CallRec) -> (Vec<u8>, i64) {
+    /// Encodes `rec`'s signature into `self.sig` and returns the caller's
+    /// rank in the call's communicator.
+    fn encode(&mut self, ctx: &TraceCtx<'_>, rec: &CallRec) -> i64 {
         let mut cfg = self.cfg.encoder;
         // Relative-rank encoding applies to point-to-point src/dst ranks
         // (§3.4.2). Collective roots and leader ranks are the same value on
@@ -843,11 +850,13 @@ impl PilgrimTracer {
             })
             .unwrap_or(self.rank as i64);
         let creates = Self::creates_request(rec.func);
-        let status_ranks = self.status_ranks(rec, caller_rank);
+        // The scratch buffers leave `self` while the loop below assigns
+        // ids through `&mut self`, and come back once it is done.
+        let mut bases = std::mem::take(&mut self.status_bases);
+        Self::status_ranks(&self.reqs, rec, caller_rank, &mut bases);
         let mut status_idx = 0usize;
-        let next_status_rank =
-            |n: usize| -> i64 { status_ranks.get(n).copied().unwrap_or(caller_rank) };
-        let mut w = SigWriter::new(rec.func.id());
+        let next_status_rank = |n: usize| -> i64 { bases.get(n).copied().unwrap_or(caller_rank) };
+        let mut w = SigWriter::reusing(std::mem::take(&mut self.sig), rec.func.id());
         for arg in &rec.args {
             match arg {
                 Arg::Int(v) => w.int(*v),
@@ -883,17 +892,13 @@ impl PilgrimTracer {
                         // The request argument is excluded from the pool
                         // signature (§3.4.3): use the bytes written so far.
                         // (Ablation: one shared pool uses an empty key.)
-                        let pool_sig = if self.cfg.shared_request_pool {
-                            Vec::new()
-                        } else {
-                            w.bytes().to_vec()
-                        };
-                        let sym = self.req_pools.acquire(&pool_sig);
+                        let pool_sig = if self.cfg.shared_request_pool { &[] } else { w.bytes() };
+                        let (pool, sym) = self.req_pools.acquire(pool_sig);
                         self.reqs.insert(
                             *raw,
                             ReqEntry {
                                 sym,
-                                pool_sig,
+                                pool,
                                 comm_rank: caller_rank,
                                 persistent: Self::creates_persistent(rec.func),
                             },
@@ -907,17 +912,10 @@ impl PilgrimTracer {
                     }
                 }
                 Arg::RequestArr(raws) => {
-                    let syms: Vec<Option<u64>> = raws
-                        .iter()
-                        .map(|&r| {
-                            if r == u64::MAX {
-                                None
-                            } else {
-                                Some(self.reqs.get(&r).map_or(u64::MAX - 1, |e| e.sym))
-                            }
-                        })
-                        .collect();
-                    w.request_arr(&syms);
+                    let reqs = &self.reqs;
+                    w.request_arr(raws.iter().map(|&r| {
+                        (r != u64::MAX).then(|| reqs.get(&r).map_or(u64::MAX - 1, |e| e.sym))
+                    }));
                 }
                 Arg::Ptr(addr) => {
                     let code = self.mem.encode_ptr(*addr);
@@ -929,10 +927,9 @@ impl PilgrimTracer {
                     w.status(*source, *tag, base, &cfg);
                 }
                 Arg::StatusArr(sts) => {
-                    let bases: Vec<i64> =
-                        (0..sts.len()).map(|k| next_status_rank(status_idx + k)).collect();
+                    let first = status_idx;
                     status_idx += sts.len();
-                    w.status_arr_with_bases(sts, &bases, &cfg);
+                    w.status_arr_with_bases(sts, |k| next_status_rank(first + k), &cfg);
                 }
                 Arg::IntArr(v) => w.int_arr(v),
                 Arg::Color(c) => w.color(*c, caller_rank, &cfg),
@@ -940,7 +937,9 @@ impl PilgrimTracer {
                 Arg::Str(s) => w.str(s),
             }
         }
-        (w.into_bytes(), caller_rank)
+        self.sig = w.into_bytes();
+        self.status_bases = bases;
+        caller_rank
     }
 
     // ------------------------------------------------------------------
@@ -1173,7 +1172,7 @@ impl Tracer for PilgrimTracer {
 
         // Encode the signature (assigns request/datatype/group ids).
         let t_encode = self.metrics.is_enabled().then(Instant::now);
-        let (sig, caller_rank) = self.encode(ctx, rec);
+        let caller_rank = self.encode(ctx, rec);
         let encode_dur = t_encode.map(|t| t.elapsed());
 
         // Record/replay side-channel — before the release loop below so
@@ -1186,11 +1185,12 @@ impl Tracer for PilgrimTracer {
         // Persistent requests keep their symbolic id across completions
         // and release it only at MPI_Request_free.
         let freeing = rec.func == FuncId::RequestFree;
-        for raw in Self::completed_requests(rec) {
-            let persistent = self.reqs.get(&raw).is_some_and(|e| e.persistent);
+        Self::completed_requests(rec, &mut self.completed);
+        for raw in &self.completed {
+            let persistent = self.reqs.get(raw).is_some_and(|e| e.persistent);
             if !persistent || freeing {
-                if let Some(entry) = self.reqs.remove(&raw) {
-                    self.req_pools.release(&entry.pool_sig, entry.sym);
+                if let Some(entry) = self.reqs.remove(raw) {
+                    self.req_pools.release(entry.pool, entry.sym);
                 }
             }
         }
@@ -1221,7 +1221,7 @@ impl Tracer for PilgrimTracer {
 
         // CST + CFG growth.
         let duration = t_end - t_start;
-        let term = self.cst.observe(&sig, duration);
+        let term = self.cst.observe(&self.sig, duration);
         let t_grammar = self.metrics.is_enabled().then(Instant::now);
         self.grammar.push(term);
         let grammar_dur = t_grammar.map(|t| t.elapsed());

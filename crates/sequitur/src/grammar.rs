@@ -21,6 +21,7 @@
 use std::collections::HashMap;
 
 use crate::flat::{FlatGrammar, FlatRule};
+use crate::hash::FixedState;
 use crate::symbol::{Symbol, TOP_RULE};
 
 type NodeId = u32;
@@ -30,37 +31,9 @@ const NIL: NodeId = u32::MAX;
 /// to be considered equal occurrences.
 type DigramKey = (Symbol, u64, Symbol, u64);
 
-/// FNV-1a with the standard offset basis — a fixed-seed hasher for the
-/// digram index. `RandomState` draws a fresh seed per map, which makes
-/// the table's bucket layout (and therefore its capacity after the
-/// insert/erase churn Sequitur generates) differ between otherwise
-/// identical runs; `approx_bytes` counts that capacity, so the resource
-/// governor would trip at different calls and break the seeded-run
-/// byte-determinism guarantee. A deterministic hash keeps the whole
-/// table history a pure function of the input sequence.
-struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Fnv1a(0xCBF2_9CE4_8422_2325)
-    }
-}
-
-impl std::hash::Hasher for Fnv1a {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-}
-
-type DigramIndex = HashMap<DigramKey, NodeId, std::hash::BuildHasherDefault<Fnv1a>>;
+/// Keyed by the grammar's own symbols, so the fixed-seed hasher applies
+/// (see [`WordHasher`](crate::WordHasher) for why the seed is fixed).
+type DigramIndex = HashMap<DigramKey, NodeId, FixedState>;
 
 #[derive(Debug, Clone)]
 struct Node {
@@ -452,15 +425,15 @@ impl Grammar {
                     // symbols are always merged, so a digram has two distinct
                     // symbols and cannot overlap itself.
                     debug_assert!(self.next(m) != n && self.next(n) != m);
-                    self.handle_match(n, m);
+                    self.handle_match(n, m, key);
                 }
             }
         }
     }
 
     /// Enforces P1 for a duplicated digram: `n` is the newly observed
-    /// occurrence, `m` the indexed one.
-    fn handle_match(&mut self, n: NodeId, m: NodeId) {
+    /// occurrence, `m` the indexed one, and `key` the digram both spell.
+    fn handle_match(&mut self, n: NodeId, m: NodeId, key: DigramKey) {
         let m_prev = self.prev(m);
         let m_next = self.next(m);
         let r = if self.is_guard(m_prev) && self.is_guard(self.next(m_next)) {
@@ -468,7 +441,7 @@ impl Grammar {
             self.nodes[m_prev as usize].guard_of
         } else {
             // Form a new rule from the digram and substitute both uses.
-            let (s1, e1, s2, e2) = self.digram_key(m).expect("digram vanished");
+            let (s1, e1, s2, e2) = key;
             let r = self.new_rule();
             let guard = self.rules[r as usize].guard;
             let a = self.alloc_node(s1, e1);
@@ -483,7 +456,7 @@ impl Grammar {
             self.insert_after(a, b);
             // The rule's own RHS becomes the canonical occurrence of the
             // digram; later occurrences then match the full-rule branch.
-            self.digrams.insert((s1, e1, s2, e2), a);
+            self.digrams.insert(key, a);
             self.substitute(m, r);
             r
         };

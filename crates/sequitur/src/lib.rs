@@ -24,6 +24,7 @@
 
 mod flat;
 mod grammar;
+mod hash;
 mod symbol;
 
 pub use flat::{
@@ -31,6 +32,7 @@ pub use flat::{
     FlatRule,
 };
 pub use grammar::{compress_runs, Grammar, GrammarStats};
+pub use hash::{FixedState, WordHasher};
 pub use symbol::{Symbol, TOP_RULE};
 
 #[cfg(test)]

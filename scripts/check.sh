@@ -277,6 +277,12 @@ check_panics crates/core/src/tracer.rs 0
 check_panics crates/core/src/ingest.rs 0
 check_panics crates/core/src/decode.rs 0
 check_panics crates/core/src/governor.rs 0
+# Everything else on_call runs per traced call: request-id pools, the
+# signature encoder, the CST and the online grammar.
+check_panics crates/core/src/idpool.rs 0
+check_panics crates/sequitur/src/grammar.rs 0
+check_panics crates/core/src/encode.rs 0
+check_panics crates/core/src/cst.rs 0
 # The crash-recovery path runs when things have already gone wrong once;
 # it must never make it worse by panicking.
 check_panics crates/core/src/wal.rs 0
